@@ -40,7 +40,9 @@ pub enum FtoCase {
 impl FtoCase {
     const COUNT: usize = 11;
 
-    fn index(self) -> usize {
+    /// The case's position in [`FtoCase::ALL`] (a dense counter index).
+    #[inline]
+    pub fn index(self) -> usize {
         match self {
             FtoCase::ReadSameEpoch => 0,
             FtoCase::SharedSameEpoch => 1,

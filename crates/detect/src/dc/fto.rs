@@ -2,23 +2,18 @@
 //! epoch and ownership optimizations applied to predictive analysis, keeping
 //! the per-(lock, variable) conflicting-critical-section metadata.
 
-use smarttrack_clock::{Epoch, ReadMeta, SameEpoch, ThreadId, VectorClock};
+use smarttrack_clock::{Epoch, ThreadId, VectorClock};
 use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
 
+use crate::access::FtoVar;
 use crate::common::{slot, CsTables};
-use crate::counters::{FtoCase, FtoCaseCounters};
+use crate::counters::FtoCaseCounters;
 use crate::dc::{DcClocks, DcThreads};
 use crate::edges::HardEdges;
 use crate::lower::{lower, ClockRow, LockMode};
 use crate::queues::{AcqEntry, DcRuleBQueues};
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::{Detector, OptLevel, Relation};
-
-#[derive(Clone, Debug, Default)]
-struct VarState {
-    write: Epoch,
-    read: ReadMeta,
-}
 
 /// FTO-DC analysis (`RULE_B = true`) or FTO-WDC (`RULE_B = false`), following
 /// paper Algorithm 2. Use the [`FtoDc`] / [`FtoWdc`] aliases.
@@ -32,7 +27,7 @@ pub struct FtoDcLike<const RULE_B: bool> {
     clocks: DcClocks,
     cs: CsTables,
     queues: DcRuleBQueues,
-    vars: Vec<VarState>,
+    vars: Vec<FtoVar>,
     report: Report,
     counters: FtoCaseCounters,
 }
@@ -74,108 +69,19 @@ impl<const RULE_B: bool> ClockRow for FtoDcLike<RULE_B> {
         &mut self.clocks
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let e = Epoch::new(t, self.clocks.local(t));
-        match slot(&mut self.vars, x.index())
-            .read
-            .same_epoch(t, e.clock())
-        {
-            Some(SameEpoch::Exclusive) => {
-                self.counters.hit(FtoCase::ReadSameEpoch);
-                return;
-            }
-            Some(SameEpoch::Shared) => {
-                self.counters.hit(FtoCase::SharedSameEpoch);
-                return;
-            }
-            None => {}
-        }
-        let mut now = self.clocks.clock_ref(t).clone();
-        self.cs.rule_a(t, x, false, true, |lt| now.join(&lt.clock));
-        let vs = slot(&mut self.vars, x.index());
-        let mut race_with_write = false;
-        match &mut vs.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.counters.hit(FtoCase::ReadOwned);
-                vs.read = ReadMeta::Epoch(e);
-            }
-            ReadMeta::Epoch(r) => {
-                if r.leq_vc(&now) {
-                    self.counters.hit(FtoCase::ReadExclusive);
-                    vs.read = ReadMeta::Epoch(e);
-                } else {
-                    self.counters.hit(FtoCase::ReadShare);
-                    race_with_write = !vs.write.leq_vc(&now);
-                    vs.read.share(e);
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                if vc.get(t) != 0 {
-                    self.counters.hit(FtoCase::ReadSharedOwned);
-                    vc.set(t, e.clock());
-                } else {
-                    self.counters.hit(FtoCase::ReadShared);
-                    race_with_write = !vs.write.leq_vc(&now);
-                    vc.set(t, e.clock());
-                }
-            }
-        }
-        let write_tid = (!vs.write.is_none()).then(|| vs.write.tid());
-        self.clocks.clock(t).assign(&now);
-        if race_with_write {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: write_tid.into_iter().collect(),
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.clocks.local(t));
-        if slot(&mut self.vars, x.index()).write == e {
-            self.counters.hit(FtoCase::WriteSameEpoch);
+        if let Some(case) = slot(&mut self.vars, x.index()).same_epoch(kind, e) {
+            self.counters.hit(case);
             return;
         }
         let mut now = self.clocks.clock_ref(t).clone();
-        self.cs.rule_a(t, x, true, true, |lt| now.join(&lt.clock));
-        let vs = slot(&mut self.vars, x.index());
-        let mut prior: Vec<ThreadId> = Vec::new();
-        match &vs.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.counters.hit(FtoCase::WriteOwned);
-            }
-            ReadMeta::Epoch(r) => {
-                self.counters.hit(FtoCase::WriteExclusive);
-                if !r.leq_vc(&now) {
-                    prior.push(r.tid());
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                self.counters.hit(FtoCase::WriteShared);
-                for (u, c) in vc.iter_nonzero() {
-                    if c > now.get(u) {
-                        prior.push(u);
-                    }
-                }
-            }
-        }
-        vs.write = e;
-        vs.read = ReadMeta::Epoch(e);
+        let write = kind == AccessKind::Write;
+        self.cs.rule_a(t, x, write, true, |lt| now.join(&lt.clock));
+        let (case, racing) = self.vars[x.index()].access(kind, e, |a| a.leq_vc(&now));
         self.clocks.clock(t).assign(&now);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
+        self.counters.hit(case);
+        self.report.record(id, loc, t, x, kind, racing);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -247,12 +153,8 @@ impl<const RULE_B: bool> Detector for FtoDcLike<RULE_B> {
         self.clocks.footprint_bytes()
             + self.cs.footprint_bytes()
             + self.queues.footprint_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
-            + self
-                .vars
-                .iter()
-                .map(|v| v.read.footprint_bytes())
-                .sum::<usize>()
+            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
+            + self.vars.iter().map(FtoVar::heap_bytes).sum::<usize>()
             + self.report.footprint_bytes()
     }
 
@@ -260,7 +162,7 @@ impl<const RULE_B: bool> Detector for FtoDcLike<RULE_B> {
         self.clocks.resident_bytes()
             + self.cs.resident_bytes()
             + self.queues.resident_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
+            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
             + self.report.footprint_bytes()
     }
 

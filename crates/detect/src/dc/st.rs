@@ -15,7 +15,7 @@ use crate::dc::{DcClocks, DcThreads};
 use crate::edges::HardEdges;
 use crate::lower::{lower, ClockRow, LockMode};
 use crate::queues::{AcqEntry, DcRuleBQueues};
-use crate::report::Report;
+use crate::report::{AccessKind, Report};
 use crate::{Detector, OptLevel, Relation};
 
 /// SmartTrack-DC analysis (`RULE_B = true`) or SmartTrack-WDC
@@ -84,16 +84,11 @@ impl<const RULE_B: bool> ClockRow for SmartTrackDcLike<RULE_B> {
         &mut self.clocks
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let e = Epoch::new(t, self.clocks.local(t));
+        let clock = self.clocks.clock(t);
         self.ccs
-            .read(id, t, x, loc, e, self.clocks.clock(t), dc_epoch_check);
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.clocks.local(t));
-        self.ccs
-            .write(id, t, x, loc, e, self.clocks.clock(t), dc_epoch_check);
+            .access(id, t, x, loc, kind, e, clock, dc_epoch_check);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -117,7 +112,7 @@ impl<const RULE_B: bool> ClockRow for SmartTrackDcLike<RULE_B> {
         }
         // Resolve the deferred release time (Algorithm 3 lines 13–15).
         if let Some(entry) = entry {
-            *entry.release.borrow_mut() = now.clone();
+            entry.resolve(now.clone());
         }
         self.clocks.clock(t).assign(&now);
         self.clocks.tick(t);

@@ -7,14 +7,15 @@ use std::collections::HashMap;
 use smarttrack_clock::{ThreadId, VectorClock};
 use smarttrack_trace::{BarrierId, Event, EventId, Loc, LockId, VarId};
 
-use crate::common::{slot, vc_table_bytes, vc_table_resident_bytes, CsTables};
+use crate::access::UnoptVar;
+use crate::common::{slot, CsTables};
 use crate::counters::PathCounters;
 use crate::dc::{DcClocks, DcThreads};
 use crate::edges::HardEdges;
 use crate::graph::{ConstraintGraph, EdgeKind};
 use crate::lower::{lower, ClockRow, LockMode, SyncObj};
 use crate::queues::{AcqEntry, DcRuleBQueues};
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::{Detector, HotPathStats, OptLevel, Relation};
 
 /// Unoptimized DC analysis (`RULE_B = true`) or WDC analysis
@@ -29,8 +30,7 @@ pub struct UnoptDcLike<const RULE_B: bool> {
     clocks: DcClocks,
     cs: CsTables,
     queues: DcRuleBQueues,
-    write_vc: Vec<VectorClock>,
-    read_vc: Vec<VectorClock>,
+    vars: Vec<UnoptVar>,
     report: Report,
     graph: Option<ConstraintGraph>,
     /// Last volatile-write event per volatile (graph mode).
@@ -105,8 +105,7 @@ impl<const RULE_B: bool> UnoptDcLike<RULE_B> {
             clocks: DcClocks::default(),
             cs: CsTables::new(with_graph),
             queues: DcRuleBQueues::new(),
-            write_vc: Vec::new(),
-            read_vc: Vec::new(),
+            vars: Vec::new(),
             report: Report::new(),
             graph: with_graph.then(ConstraintGraph::new),
             last_volatile_write: Vec::new(),
@@ -132,13 +131,6 @@ impl<const RULE_B: bool> UnoptDcLike<RULE_B> {
         }
     }
 
-    fn racing_threads(meta: &VectorClock, now: &VectorClock) -> Vec<ThreadId> {
-        meta.iter_nonzero()
-            .filter(|&(u, c)| c > now.get(u))
-            .map(|(u, _)| u)
-            .collect()
-    }
-
     /// Rule (a) joins for an access to `x` (see [`CsTables::rule_a`]),
     /// recording each joined section's releases as graph edges.
     fn rule_a(&mut self, id: EventId, t: ThreadId, x: VarId, now: &mut VectorClock, write: bool) {
@@ -161,63 +153,19 @@ impl<const RULE_B: bool> ClockRow for UnoptDcLike<RULE_B> {
         &mut self.clocks
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let local = self.clocks.local(t);
         // §5.1 same-epoch-like fast path (O(1): no clock copies).
-        let rx = slot(&mut self.read_vc, x.index());
-        if rx.get(t) == local && local != 0 {
+        if slot(&mut self.vars, x.index()).same_epoch(kind, t, local) {
             self.paths.fast += 1;
             return;
         }
         self.paths.slow += 1;
         let mut now = self.clocks.clock_ref(t).clone();
-        self.rule_a(id, t, x, &mut now, false);
-        let wx = slot(&mut self.write_vc, x.index());
-        let prior = Self::racing_threads(wx, &now);
-        slot(&mut self.read_vc, x.index()).set(t, now.get(t));
+        self.rule_a(id, t, x, &mut now, kind == AccessKind::Write);
+        let racing = self.vars[x.index()].access(kind, t, local, |a| a.leq_vc(&now));
         self.clocks.clock(t).assign(&now);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let local = self.clocks.local(t);
-        let wx = slot(&mut self.write_vc, x.index());
-        if wx.get(t) == local && local != 0 {
-            self.paths.fast += 1;
-            return;
-        }
-        self.paths.slow += 1;
-        let mut now = self.clocks.clock_ref(t).clone();
-        self.rule_a(id, t, x, &mut now, true);
-        let wx = slot(&mut self.write_vc, x.index());
-        let mut prior = Self::racing_threads(wx, &now);
-        wx.set(t, now.get(t));
-        let rx = slot(&mut self.read_vc, x.index());
-        for u in Self::racing_threads(rx, &now) {
-            if !prior.contains(&u) {
-                prior.push(u);
-            }
-        }
-        self.clocks.clock(t).assign(&now);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
+        self.report.record(id, loc, t, x, kind, racing);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -358,10 +306,8 @@ impl<const RULE_B: bool> Detector for UnoptDcLike<RULE_B> {
         }
         self.clocks.reserve(&hint);
         self.cs.reserve_locks(hint.locks);
-        self.write_vc
-            .reserve(crate::StreamHint::presize(hint.vars, self.write_vc.len()));
-        self.read_vc
-            .reserve(crate::StreamHint::presize(hint.vars, self.read_vc.len()));
+        self.vars
+            .reserve(crate::StreamHint::presize(hint.vars, self.vars.len()));
     }
 
     fn process(&mut self, id: EventId, event: &Event) {
@@ -377,8 +323,7 @@ impl<const RULE_B: bool> Detector for UnoptDcLike<RULE_B> {
         self.clocks.footprint_bytes()
             + self.cs.footprint_bytes()
             + self.queues.footprint_bytes()
-            + vc_table_bytes(&self.write_vc)
-            + vc_table_bytes(&self.read_vc)
+            + UnoptVar::table_bytes(&self.vars)
             + self.report.footprint_bytes()
             + self
                 .graph
@@ -390,8 +335,7 @@ impl<const RULE_B: bool> Detector for UnoptDcLike<RULE_B> {
         self.clocks.resident_bytes()
             + self.cs.resident_bytes()
             + self.queues.resident_bytes()
-            + vc_table_resident_bytes(&self.write_vc)
-            + vc_table_resident_bytes(&self.read_vc)
+            + UnoptVar::table_resident_bytes(&self.vars)
             + self.report.footprint_bytes()
             + self
                 .graph

@@ -9,7 +9,7 @@ use crate::counters::{FtoCase, FtoCaseCounters};
 use crate::edges::HardEdges;
 use crate::hb::{HbClocks, HbSyncState};
 use crate::lower::{lower, ClockRow, LockMode};
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::{Detector, OptLevel, Relation};
 
 #[derive(Clone, Debug, Default)]
@@ -50,33 +50,6 @@ impl Ft2 {
         Ft2::default()
     }
 
-    fn race(
-        report: &mut Report,
-        id: EventId,
-        loc: Loc,
-        t: ThreadId,
-        x: VarId,
-        kind: AccessKind,
-        prior: Vec<ThreadId>,
-    ) {
-        report.push(RaceReport {
-            event: id,
-            loc,
-            tid: t,
-            var: x,
-            kind,
-            prior_threads: prior,
-        });
-    }
-}
-
-impl ClockRow for Ft2 {
-    type Clocks = HbClocks;
-
-    fn edges(&mut self) -> &mut HardEdges<HbClocks> {
-        &mut self.sync.edges
-    }
-
     fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
         let e = Epoch::new(t, self.sync.local(t));
         let vs = slot(&mut self.vars, x.index());
@@ -111,9 +84,7 @@ impl ClockRow for Ft2 {
                 vc.set(t, e.clock()); // [Read Shared]
             }
         }
-        if !prior.is_empty() {
-            Self::race(&mut self.report, id, loc, t, x, AccessKind::Read, prior);
-        }
+        self.report.record(id, loc, t, x, AccessKind::Read, prior);
     }
 
     fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
@@ -145,8 +116,21 @@ impl ClockRow for Ft2 {
             }
         }
         vs.write = e;
-        if !prior.is_empty() {
-            Self::race(&mut self.report, id, loc, t, x, AccessKind::Write, prior);
+        self.report.record(id, loc, t, x, AccessKind::Write, prior);
+    }
+}
+
+impl ClockRow for Ft2 {
+    type Clocks = HbClocks;
+
+    fn edges(&mut self) -> &mut HardEdges<HbClocks> {
+        &mut self.sync.edges
+    }
+
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.read(id, t, x, loc),
+            AccessKind::Write => self.write(id, t, x, loc),
         }
     }
 

@@ -2,22 +2,17 @@
 //! HB baseline, and the structural template for the FTO-based predictive
 //! analyses (Algorithm 2 without the DC-specific parts).
 
-use smarttrack_clock::{Epoch, ReadMeta, SameEpoch, ThreadId, VectorClock};
+use smarttrack_clock::{Epoch, ThreadId, VectorClock};
 use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
 
+use crate::access::FtoVar;
 use crate::common::slot;
-use crate::counters::{FtoCase, FtoCaseCounters};
+use crate::counters::FtoCaseCounters;
 use crate::edges::HardEdges;
 use crate::hb::{HbClocks, HbSyncState};
 use crate::lower::{lower, ClockRow, LockMode};
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::{Detector, OptLevel, Relation};
-
-#[derive(Clone, Debug, Default)]
-struct VarState {
-    write: Epoch,
-    read: ReadMeta,
-}
 
 /// FTO-HB analysis (`FTO` in the paper's HB columns).
 ///
@@ -39,7 +34,7 @@ struct VarState {
 #[derive(Clone, Debug, Default)]
 pub struct FtoHb {
     sync: HbSyncState,
-    vars: Vec<VarState>,
+    vars: Vec<FtoVar>,
     report: Report,
     counters: FtoCaseCounters,
 }
@@ -63,101 +58,17 @@ impl ClockRow for FtoHb {
         &mut self.sync.edges
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let e = Epoch::new(t, self.sync.local(t));
-        let vs = slot(&mut self.vars, x.index());
-        match vs.read.same_epoch(t, e.clock()) {
-            Some(SameEpoch::Exclusive) => {
-                self.counters.hit(FtoCase::ReadSameEpoch);
-                return;
-            }
-            Some(SameEpoch::Shared) => {
-                self.counters.hit(FtoCase::SharedSameEpoch);
-                return;
-            }
-            None => {}
-        }
-        let now = self.sync.clock_ref(t);
-        let mut race_with_write = false;
-        match &mut vs.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.counters.hit(FtoCase::ReadOwned);
-                vs.read = ReadMeta::Epoch(e);
-            }
-            ReadMeta::Epoch(r) => {
-                if r.leq_vc(now) {
-                    self.counters.hit(FtoCase::ReadExclusive);
-                    vs.read = ReadMeta::Epoch(e);
-                } else {
-                    self.counters.hit(FtoCase::ReadShare);
-                    race_with_write = !vs.write.leq_vc(now);
-                    vs.read.share(e);
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                if vc.get(t) != 0 {
-                    self.counters.hit(FtoCase::ReadSharedOwned);
-                    vc.set(t, e.clock());
-                } else {
-                    self.counters.hit(FtoCase::ReadShared);
-                    race_with_write = !vs.write.leq_vc(now);
-                    vc.set(t, e.clock());
-                }
-            }
-        }
-        if race_with_write {
-            let prior = vec![vs.write.tid()];
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.sync.local(t));
-        let vs = slot(&mut self.vars, x.index());
-        if vs.write == e {
-            self.counters.hit(FtoCase::WriteSameEpoch);
+        let var = slot(&mut self.vars, x.index());
+        if let Some(case) = var.same_epoch(kind, e) {
+            self.counters.hit(case);
             return;
         }
         let now = self.sync.clock_ref(t);
-        let mut prior: Vec<ThreadId> = Vec::new();
-        match &vs.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.counters.hit(FtoCase::WriteOwned);
-            }
-            ReadMeta::Epoch(r) => {
-                self.counters.hit(FtoCase::WriteExclusive);
-                if !r.leq_vc(now) {
-                    prior.push(r.tid());
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                self.counters.hit(FtoCase::WriteShared);
-                for (u, c) in vc.iter_nonzero() {
-                    if c > now.get(u) {
-                        prior.push(u);
-                    }
-                }
-            }
-        }
-        vs.write = e;
-        vs.read = ReadMeta::Epoch(e);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
+        let (case, racing) = var.access(kind, e, |a| a.leq_vc(now));
+        self.counters.hit(case);
+        self.report.record(id, loc, t, x, kind, racing);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -198,18 +109,14 @@ impl Detector for FtoHb {
 
     fn footprint_bytes(&self) -> usize {
         self.sync.footprint_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
-            + self
-                .vars
-                .iter()
-                .map(|v| v.read.footprint_bytes())
-                .sum::<usize>()
+            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
+            + self.vars.iter().map(FtoVar::heap_bytes).sum::<usize>()
             + self.report.footprint_bytes()
     }
 
     fn state_bytes(&self) -> usize {
         self.sync.resident_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
+            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
             + self.report.footprint_bytes()
     }
 
@@ -221,7 +128,7 @@ impl Detector for FtoHb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_detector;
+    use crate::{run_detector, FtoCase};
     use smarttrack_trace::{LockId, Op, TraceBuilder};
 
     fn t(i: u32) -> ThreadId {

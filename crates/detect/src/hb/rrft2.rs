@@ -19,7 +19,7 @@ use crate::common::slot;
 use crate::edges::HardEdges;
 use crate::hb::{HbClocks, HbSyncState};
 use crate::lower::{lower, ClockRow, LockMode};
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::{Detector, OptLevel, Relation};
 
 /// Dynamic races counted per variable before RoadRunner stops analyzing it.
@@ -87,23 +87,8 @@ impl RoadRunnerFt2 {
         vs.dead = true;
         // ...and would cap the *count* at 100 dynamic races per field.
         if vs.races <= RACE_LIMIT_PER_VAR {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind,
-                prior_threads: prior,
-            });
+            self.report.record(id, loc, t, x, kind, prior);
         }
-    }
-}
-
-impl ClockRow for RoadRunnerFt2 {
-    type Clocks = HbClocks;
-
-    fn edges(&mut self) -> &mut HardEdges<HbClocks> {
-        &mut self.sync.edges
     }
 
     fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
@@ -166,6 +151,21 @@ impl ClockRow for RoadRunnerFt2 {
             vs.write = e;
         } else {
             self.record(id, loc, t, x, AccessKind::Write, prior);
+        }
+    }
+}
+
+impl ClockRow for RoadRunnerFt2 {
+    type Clocks = HbClocks;
+
+    fn edges(&mut self) -> &mut HardEdges<HbClocks> {
+        &mut self.sync.edges
+    }
+
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.read(id, t, x, loc),
+            AccessKind::Write => self.write(id, t, x, loc),
         }
     }
 

@@ -1,14 +1,15 @@
 //! Unoptimized (vector-clock) happens-before analysis, DJIT+-style.
 
-use smarttrack_clock::{ThreadId, VectorClock};
+use smarttrack_clock::ThreadId;
 use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
 
-use crate::common::{slot, vc_table_bytes, vc_table_resident_bytes};
+use crate::access::UnoptVar;
+use crate::common::slot;
 use crate::counters::PathCounters;
 use crate::edges::HardEdges;
 use crate::hb::{HbClocks, HbSyncState};
 use crate::lower::{lower, ClockRow, LockMode};
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::{Detector, HotPathStats, OptLevel, Relation};
 
 /// Vector-clock HB analysis (`Unopt-HB` in the paper's tables).
@@ -33,8 +34,7 @@ use crate::{Detector, HotPathStats, OptLevel, Relation};
 #[derive(Clone, Debug, Default)]
 pub struct UnoptHb {
     sync: HbSyncState,
-    write_vc: Vec<VectorClock>,
-    read_vc: Vec<VectorClock>,
+    vars: Vec<UnoptVar>,
     report: Report,
     paths: PathCounters,
 }
@@ -43,13 +43,6 @@ impl UnoptHb {
     /// Creates the analysis with empty state.
     pub fn new() -> Self {
         UnoptHb::default()
-    }
-
-    fn racing_threads(meta: &VectorClock, now: &VectorClock) -> Vec<ThreadId> {
-        meta.iter_nonzero()
-            .filter(|&(u, c)| c > now.get(u))
-            .map(|(u, _)| u)
-            .collect()
     }
 }
 
@@ -60,60 +53,17 @@ impl ClockRow for UnoptHb {
         &mut self.sync.edges
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let local = self.sync.local(t);
-        let rx = slot(&mut self.read_vc, x.index());
-        // §5.1: the Unopt implementations perform a [Shared Same Epoch]-like
-        // check at reads and writes.
-        if rx.get(t) == local && local != 0 {
+        let var = slot(&mut self.vars, x.index());
+        if var.same_epoch(kind, t, local) {
             self.paths.fast += 1;
             return;
         }
         self.paths.slow += 1;
-        rx.set(t, local);
         let now = self.sync.clock_ref(t);
-        let wx = slot(&mut self.write_vc, x.index());
-        let prior = Self::racing_threads(wx, now);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let local = self.sync.local(t);
-        let wx = slot(&mut self.write_vc, x.index());
-        if wx.get(t) == local && local != 0 {
-            self.paths.fast += 1;
-            return; // same-epoch-like fast path
-        }
-        self.paths.slow += 1;
-        let now = self.sync.clock_ref(t);
-        let wx = slot(&mut self.write_vc, x.index());
-        let mut prior = Self::racing_threads(wx, now);
-        wx.set(t, local);
-        let rx = slot(&mut self.read_vc, x.index());
-        for u in Self::racing_threads(rx, now) {
-            if !prior.contains(&u) {
-                prior.push(u);
-            }
-        }
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
+        let racing = var.access(kind, t, local, |a| a.leq_vc(now));
+        self.report.record(id, loc, t, x, kind, racing);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -140,10 +90,8 @@ impl Detector for UnoptHb {
 
     fn begin_stream(&mut self, hint: crate::StreamHint) {
         self.sync.reserve(&hint);
-        self.write_vc
-            .reserve(crate::StreamHint::presize(hint.vars, self.write_vc.len()));
-        self.read_vc
-            .reserve(crate::StreamHint::presize(hint.vars, self.read_vc.len()));
+        self.vars
+            .reserve(crate::StreamHint::presize(hint.vars, self.vars.len()));
     }
 
     fn process(&mut self, id: EventId, event: &Event) {
@@ -156,15 +104,13 @@ impl Detector for UnoptHb {
 
     fn footprint_bytes(&self) -> usize {
         self.sync.footprint_bytes()
-            + vc_table_bytes(&self.write_vc)
-            + vc_table_bytes(&self.read_vc)
+            + UnoptVar::table_bytes(&self.vars)
             + self.report.footprint_bytes()
     }
 
     fn state_bytes(&self) -> usize {
         self.sync.resident_bytes()
-            + vc_table_resident_bytes(&self.write_vc)
-            + vc_table_resident_bytes(&self.read_vc)
+            + UnoptVar::table_resident_bytes(&self.vars)
             + self.report.footprint_bytes()
     }
 

@@ -64,6 +64,7 @@
 //! Or stream events through a fan-out [`Session`] — see the [`engine`]
 //! module for the full lifecycle.
 
+mod access;
 mod api;
 mod common;
 mod config;
@@ -85,10 +86,11 @@ mod osr;
 mod syncp;
 mod wcp;
 
+pub use access::FtoVar;
 pub use api::{
     run_detector, Detector, FootprintSampler, OptLevel, Relation, RunSummary, StreamHint,
 };
-pub use ccs::{CcsFidelity, CsEntry, CsList};
+pub use ccs::{ArcCells, CcsFidelity, CsCells, CsEntry, CsList, HeldSections, RcCells, StVar};
 pub use common::{BarrierRendezvous, LTime, LockVarTable};
 pub use config::{analyze, analyze_all, AnalysisConfig, AnalysisOutcome, ParseAnalysisConfigError};
 pub use counters::{FtoCase, FtoCaseCounters, HotPathStats};

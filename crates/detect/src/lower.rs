@@ -29,6 +29,7 @@ use smarttrack_clock::ThreadId;
 use smarttrack_trace::{BarrierId, CondId, EventId, Loc, LockId, Op, VarId};
 
 use crate::edges::{HardEdges, ThreadClocks};
+use crate::report::AccessKind;
 
 /// The hold mode of a lock acquisition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,8 +133,8 @@ pub(crate) trait ClockRow {
     /// The row's hard-edge table.
     fn edges(&mut self) -> &mut HardEdges<Self::Clocks>;
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc);
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc);
+    /// `rd(x)` or `wr(x)`, by `kind`.
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind);
     fn acquire(&mut self, id: EventId, t: ThreadId, m: LockId, mode: LockMode);
     fn release(&mut self, id: EventId, t: ThreadId, m: LockId);
 
@@ -160,11 +161,11 @@ pub(crate) trait ClockRow {
 impl<R: ClockRow> SyncCore for R {
     #[inline]
     fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        ClockRow::read(self, id, t, x, loc);
+        self.access(id, t, x, loc, AccessKind::Read);
     }
     #[inline]
     fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        ClockRow::write(self, id, t, x, loc);
+        self.access(id, t, x, loc, AccessKind::Write);
     }
     fn acquire(&mut self, id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
         ClockRow::acquire(self, id, t, m, mode);

@@ -4,7 +4,8 @@ use std::fmt;
 use smarttrack_clock::ThreadId;
 use smarttrack_trace::{EventId, Loc, VarId};
 
-/// The kind of access at which a race was detected.
+/// The kind of an access (in a race report: of the access that detected
+/// the race).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// The detecting access is a read (write–read race).
@@ -83,6 +84,29 @@ impl Report {
     /// Records a race (one per detecting access).
     pub fn push(&mut self, race: RaceReport) {
         self.races.push(race);
+    }
+
+    /// Records the race an access found, if its check named any racing
+    /// prior thread (one dynamic race per detecting access, §5.1).
+    pub(crate) fn record(
+        &mut self,
+        event: EventId,
+        loc: Loc,
+        tid: ThreadId,
+        var: VarId,
+        kind: AccessKind,
+        prior_threads: Vec<ThreadId>,
+    ) {
+        if !prior_threads.is_empty() {
+            self.push(RaceReport {
+                event,
+                loc,
+                tid,
+                var,
+                kind,
+                prior_threads,
+            });
+        }
     }
 
     /// All reported races in detection order.

@@ -2,23 +2,18 @@
 //! (Algorithm 2's structure with the WCP clock rules of this module's
 //! parent).
 
-use smarttrack_clock::{Epoch, ReadMeta, SameEpoch, ThreadId};
+use smarttrack_clock::{Epoch, ThreadId};
 use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
 
+use crate::access::FtoVar;
 use crate::common::{slot, CsTables};
-use crate::counters::{FtoCase, FtoCaseCounters};
+use crate::counters::FtoCaseCounters;
 use crate::edges::HardEdges;
 use crate::lower::{lower, ClockRow, LockMode};
 use crate::queues::WcpRuleBQueues;
-use crate::report::{AccessKind, RaceReport, Report};
+use crate::report::{AccessKind, Report};
 use crate::wcp::{wcp_epoch_ordered, WcpClocks, WcpThreads};
 use crate::{Detector, OptLevel, Relation};
-
-#[derive(Clone, Debug, Default)]
-struct VarState {
-    write: Epoch,
-    read: ReadMeta,
-}
 
 /// FTO-WCP analysis (`FTO-WCP` in the paper's tables).
 ///
@@ -29,7 +24,7 @@ pub struct FtoWcp {
     clocks: WcpClocks,
     cs: CsTables,
     queues: WcpRuleBQueues,
-    vars: Vec<VarState>,
+    vars: Vec<FtoVar>,
     report: Report,
     counters: FtoCaseCounters,
 }
@@ -48,108 +43,21 @@ impl ClockRow for FtoWcp {
         &mut self.clocks.edges
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let h_own = self.clocks.local(t);
         let e = Epoch::new(t, h_own);
-        match slot(&mut self.vars, x.index()).read.same_epoch(t, h_own) {
-            Some(SameEpoch::Exclusive) => {
-                self.counters.hit(FtoCase::ReadSameEpoch);
-                return;
-            }
-            Some(SameEpoch::Shared) => {
-                self.counters.hit(FtoCase::SharedSameEpoch);
-                return;
-            }
-            None => {}
-        }
-        let mut p = self.clocks.wcp(t).clone();
-        self.cs.rule_a(t, x, false, true, |lt| p.join(&lt.clock));
-        let vs = slot(&mut self.vars, x.index());
-        let mut race_with_write = false;
-        match &mut vs.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.counters.hit(FtoCase::ReadOwned);
-                vs.read = ReadMeta::Epoch(e);
-            }
-            ReadMeta::Epoch(r) => {
-                if wcp_epoch_ordered(*r, t, h_own, &p) {
-                    self.counters.hit(FtoCase::ReadExclusive);
-                    vs.read = ReadMeta::Epoch(e);
-                } else {
-                    self.counters.hit(FtoCase::ReadShare);
-                    race_with_write = !wcp_epoch_ordered(vs.write, t, h_own, &p);
-                    vs.read.share(e);
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                if vc.get(t) != 0 {
-                    self.counters.hit(FtoCase::ReadSharedOwned);
-                    vc.set(t, h_own);
-                } else {
-                    self.counters.hit(FtoCase::ReadShared);
-                    race_with_write = !wcp_epoch_ordered(vs.write, t, h_own, &p);
-                    vc.set(t, h_own);
-                }
-            }
-        }
-        let write_tid = (!vs.write.is_none()).then(|| vs.write.tid());
-        self.clocks.wcp(t).assign(&p);
-        if race_with_write {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: write_tid.into_iter().collect(),
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let h_own = self.clocks.local(t);
-        let e = Epoch::new(t, h_own);
-        if slot(&mut self.vars, x.index()).write == e {
-            self.counters.hit(FtoCase::WriteSameEpoch);
+        if let Some(case) = slot(&mut self.vars, x.index()).same_epoch(kind, e) {
+            self.counters.hit(case);
             return;
         }
         let mut p = self.clocks.wcp(t).clone();
-        self.cs.rule_a(t, x, true, true, |lt| p.join(&lt.clock));
-        let vs = slot(&mut self.vars, x.index());
-        let mut prior: Vec<ThreadId> = Vec::new();
-        match &vs.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.counters.hit(FtoCase::WriteOwned);
-            }
-            ReadMeta::Epoch(r) => {
-                self.counters.hit(FtoCase::WriteExclusive);
-                if !wcp_epoch_ordered(*r, t, h_own, &p) {
-                    prior.push(r.tid());
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                self.counters.hit(FtoCase::WriteShared);
-                for (u, c) in vc.iter_nonzero() {
-                    let ordered = if u == t { c <= h_own } else { c <= p.get(u) };
-                    if !ordered {
-                        prior.push(u);
-                    }
-                }
-            }
-        }
-        vs.write = e;
-        vs.read = ReadMeta::Epoch(e);
+        let write = kind == AccessKind::Write;
+        self.cs.rule_a(t, x, write, true, |lt| p.join(&lt.clock));
+        let ordered = |a| wcp_epoch_ordered(a, t, h_own, &p);
+        let (case, racing) = self.vars[x.index()].access(kind, e, ordered);
         self.clocks.wcp(t).assign(&p);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
+        self.counters.hit(case);
+        self.report.record(id, loc, t, x, kind, racing);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -207,12 +115,8 @@ impl Detector for FtoWcp {
         self.clocks.footprint_bytes()
             + self.cs.footprint_bytes()
             + self.queues.footprint_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
-            + self
-                .vars
-                .iter()
-                .map(|v| v.read.footprint_bytes())
-                .sum::<usize>()
+            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
+            + self.vars.iter().map(FtoVar::heap_bytes).sum::<usize>()
             + self.report.footprint_bytes()
     }
 
@@ -220,7 +124,7 @@ impl Detector for FtoWcp {
         self.clocks.resident_bytes()
             + self.cs.resident_bytes()
             + self.queues.resident_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
+            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
             + self.report.footprint_bytes()
     }
 

@@ -178,20 +178,6 @@ pub(crate) fn wcp_epoch_ordered(e: Epoch, t: ThreadId, h_own: ClockValue, p: &Ve
     }
 }
 
-/// Threads whose recorded accesses in `meta` are *not* WCP-ordered before the
-/// current access (the racing threads).
-pub(crate) fn wcp_racing_threads(
-    meta: &VectorClock,
-    t: ThreadId,
-    h_own: ClockValue,
-    p: &VectorClock,
-) -> Vec<ThreadId> {
-    meta.iter_nonzero()
-        .filter(|&(u, c)| if u == t { c > h_own } else { c > p.get(u) })
-        .map(|(u, _)| u)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +221,7 @@ mod tests {
         let p: VectorClock = [(t(1), 2)].into_iter().collect();
         // current thread t0 with h_own = 3: own entry ordered; t1 ordered via
         // P; t2 races.
-        assert_eq!(wcp_racing_threads(&meta, t(0), 3, &p), vec![t(2)]);
+        let ordered = |a: Epoch| wcp_epoch_ordered(a, t(0), 3, &p);
+        assert_eq!(crate::access::racing_threads(&meta, ordered), vec![t(2)]);
     }
 }

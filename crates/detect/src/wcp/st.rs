@@ -15,7 +15,7 @@ use crate::counters::FtoCaseCounters;
 use crate::edges::HardEdges;
 use crate::lower::{lower, ClockRow, LockMode};
 use crate::queues::WcpRuleBQueues;
-use crate::report::Report;
+use crate::report::{AccessKind, Report};
 use crate::wcp::{wcp_epoch_ordered, WcpClocks, WcpThreads};
 use crate::{Detector, OptLevel, Relation};
 
@@ -67,21 +67,14 @@ impl ClockRow for SmartTrackWcp {
         &mut self.clocks.edges
     }
 
-    // Accesses check against the WCP clock `Pt`, with the own-thread
-    // entry compared against `Ht` (see `wcp_epoch_ordered`).
-
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    /// Accesses check against the WCP clock `Pt`, with the own-thread
+    /// entry compared against `Ht` (see `wcp_epoch_ordered`).
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let h_own = self.clocks.local(t);
         let check = move |a: Epoch, p: &VectorClock| wcp_epoch_ordered(a, t, h_own, p);
         let e = Epoch::new(t, h_own);
-        self.ccs.read(id, t, x, loc, e, self.clocks.wcp(t), check);
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let h_own = self.clocks.local(t);
-        let check = move |a: Epoch, p: &VectorClock| wcp_epoch_ordered(a, t, h_own, p);
-        let e = Epoch::new(t, h_own);
-        self.ccs.write(id, t, x, loc, e, self.clocks.wcp(t), check);
+        let clock = self.clocks.wcp(t);
+        self.ccs.access(id, t, x, loc, kind, e, clock, check);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -105,7 +98,7 @@ impl ClockRow for SmartTrackWcp {
         // Resolve the deferred release time with the *HB* clock: rule (a)
         // for WCP joins HB release times.
         if let Some(entry) = entry {
-            *entry.release.borrow_mut() = hb.clone();
+            entry.resolve(hb.clone());
         }
         self.clocks
             .release_publish(t, m, LockMode::of_write(write_mode));

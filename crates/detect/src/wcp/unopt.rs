@@ -5,13 +5,14 @@
 use smarttrack_clock::{ThreadId, VectorClock};
 use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
 
-use crate::common::{slot, vc_table_bytes, vc_table_resident_bytes, CsTables};
+use crate::access::UnoptVar;
+use crate::common::{slot, CsTables};
 use crate::counters::PathCounters;
 use crate::edges::HardEdges;
 use crate::lower::{lower, ClockRow, LockMode};
 use crate::queues::WcpRuleBQueues;
-use crate::report::{AccessKind, RaceReport, Report};
-use crate::wcp::{wcp_racing_threads, WcpClocks, WcpThreads};
+use crate::report::{AccessKind, Report};
+use crate::wcp::{wcp_epoch_ordered, WcpClocks, WcpThreads};
 use crate::{Detector, HotPathStats, OptLevel, Relation};
 
 /// Unoptimized WCP analysis (`Unopt-WCP` in the paper's tables).
@@ -35,8 +36,7 @@ pub struct UnoptWcp {
     clocks: WcpClocks,
     cs: CsTables,
     queues: WcpRuleBQueues,
-    write_vc: Vec<VectorClock>,
-    read_vc: Vec<VectorClock>,
+    vars: Vec<UnoptVar>,
     report: Report,
     paths: PathCounters,
 }
@@ -60,62 +60,20 @@ impl ClockRow for UnoptWcp {
         &mut self.clocks.edges
     }
 
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
         let h_own = self.clocks.local(t);
-        let rx = slot(&mut self.read_vc, x.index());
-        if rx.get(t) == h_own && h_own != 0 {
+        if slot(&mut self.vars, x.index()).same_epoch(kind, t, h_own) {
             self.paths.fast += 1;
             return;
         }
         self.paths.slow += 1;
         let mut p = self.clocks.wcp(t).clone();
-        self.cs.rule_a(t, x, false, false, |lt| p.join(&lt.clock));
-        let wx = slot(&mut self.write_vc, x.index());
-        let prior = wcp_racing_threads(wx, t, h_own, &p);
-        slot(&mut self.read_vc, x.index()).set(t, h_own);
+        let write = kind == AccessKind::Write;
+        self.cs.rule_a(t, x, write, false, |lt| p.join(&lt.clock));
+        let ordered = |a| wcp_epoch_ordered(a, t, h_own, &p);
+        let racing = self.vars[x.index()].access(kind, t, h_own, ordered);
         self.clocks.wcp(t).assign(&p);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let h_own = self.clocks.local(t);
-        let wx = slot(&mut self.write_vc, x.index());
-        if wx.get(t) == h_own && h_own != 0 {
-            self.paths.fast += 1;
-            return;
-        }
-        self.paths.slow += 1;
-        let mut p = self.clocks.wcp(t).clone();
-        self.cs.rule_a(t, x, true, false, |lt| p.join(&lt.clock));
-        let wx = slot(&mut self.write_vc, x.index());
-        let mut prior = wcp_racing_threads(wx, t, h_own, &p);
-        wx.set(t, h_own);
-        let rx = slot(&mut self.read_vc, x.index());
-        for u in wcp_racing_threads(rx, t, h_own, &p) {
-            if !prior.contains(&u) {
-                prior.push(u);
-            }
-        }
-        self.clocks.wcp(t).assign(&p);
-        if !prior.is_empty() {
-            self.report.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
+        self.report.record(id, loc, t, x, kind, racing);
     }
 
     fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
@@ -157,10 +115,8 @@ impl Detector for UnoptWcp {
     fn begin_stream(&mut self, hint: crate::StreamHint) {
         self.clocks.reserve(&hint);
         self.cs.reserve_locks(hint.locks);
-        self.write_vc
-            .reserve(crate::StreamHint::presize(hint.vars, self.write_vc.len()));
-        self.read_vc
-            .reserve(crate::StreamHint::presize(hint.vars, self.read_vc.len()));
+        self.vars
+            .reserve(crate::StreamHint::presize(hint.vars, self.vars.len()));
     }
 
     fn process(&mut self, id: EventId, event: &Event) {
@@ -175,8 +131,7 @@ impl Detector for UnoptWcp {
         self.clocks.footprint_bytes()
             + self.cs.footprint_bytes()
             + self.queues.footprint_bytes()
-            + vc_table_bytes(&self.write_vc)
-            + vc_table_bytes(&self.read_vc)
+            + UnoptVar::table_bytes(&self.vars)
             + self.report.footprint_bytes()
     }
 
@@ -184,8 +139,7 @@ impl Detector for UnoptWcp {
         self.clocks.resident_bytes()
             + self.cs.resident_bytes()
             + self.queues.resident_bytes()
-            + vc_table_resident_bytes(&self.write_vc)
-            + vc_table_resident_bytes(&self.read_vc)
+            + UnoptVar::table_resident_bytes(&self.vars)
             + self.report.footprint_bytes()
     }
 

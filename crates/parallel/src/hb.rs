@@ -1,46 +1,17 @@
 //! Concurrent FTO-HB: the FastTrack-family baseline running inside the
 //! application threads (§5.1).
 //!
-//! Metadata partitioning follows the paper's implementation description:
-//!
-//! * thread clocks `Ct` are owned by their thread's [`OnlineCtx`] handle —
-//!   no synchronization at all;
-//! * each lock's clock `Lm` and each volatile's clock `Vv` has its own
-//!   mutex, touched only at (already-synchronizing) lock/volatile operations;
-//! * each variable's last-access metadata has its own mutex, plus lock-free
-//!   atomic mirrors of `Wx`/`Rx` for the same-epoch fast paths;
-//! * fork/join clock handoff goes through dedicated slots whose accesses are
-//!   ordered by the application's own fork/join edges.
+//! The row is the generic [`OnlineRow`] over the sequential FTO-HB's
+//! per-variable [`FtoVar`] bodies, checked against the thread's own clock.
+//! What HB adds are its lock rules: each lock's clock `Lm` and reader
+//! aggregate `LRm` sit behind the lock's own mutex.
 
 use parking_lot::Mutex;
-use smarttrack_clock::{Epoch, ReadMeta, ThreadId, VectorClock};
-use smarttrack_detect::{
-    lower, AccessKind, FtoCase, FtoCaseCounters, LockMode, RaceReport, Report, SyncCore, SyncObj,
-};
-use smarttrack_trace::{BarrierId, EventId, Loc, LockId, Op, VarId};
+use smarttrack_clock::{Epoch, ThreadId, VectorClock};
+use smarttrack_detect::{AccessKind, FtoCase, FtoVar, LockMode, OptLevel, Relation};
+use smarttrack_trace::LockId;
 
-use crate::atomic::AtomicEpoch;
-use crate::shared::{AtomicCaseCounters, Handoff, OnlineBarrier, ReportSink};
-use crate::world::{table, WorldSpec};
-use crate::{OnlineAnalysis, OnlineCtx};
-
-/// Authoritative last-access metadata of one variable (guarded).
-#[derive(Debug, Default)]
-struct VarMeta {
-    write: Epoch,
-    read: ReadMeta,
-}
-
-/// One variable's shadow location: atomic mirrors + guarded metadata.
-/// Cache-line aligned so threads working on adjacent variables (the common
-/// disjoint-access pattern) never false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ShadowVar {
-    write_mirror: AtomicEpoch,
-    read_mirror: AtomicEpoch,
-    meta: Mutex<VarMeta>,
-}
+use crate::row::{OnlineFamily, OnlineRow};
 
 /// FTO-HB analysis with concurrent metadata (the parallel counterpart of
 /// [`FtoHb`](smarttrack_detect::FtoHb)).
@@ -61,304 +32,89 @@ struct ShadowVar {
 /// let report = feed_trace(&par, &trace);
 /// assert_eq!(report.dynamic_count(), seq.report().dynamic_count());
 /// ```
+pub type ConcurrentFtoHb = OnlineRow<FtoHbFamily>;
+
+/// The FTO-HB family of [`OnlineRow`].
 #[derive(Debug)]
-pub struct ConcurrentFtoHb {
-    vars: Vec<ShadowVar>,
-    locks: Vec<Mutex<VectorClock>>,
-    /// `LRm`: per-lock aggregate of reader release times. Write-mode
-    /// acquires join it (a writer orders after every prior reader); read
-    /// releases *join into* it (readers do not order each other).
-    read_locks: Vec<Mutex<VectorClock>>,
-    volatiles: Vec<Mutex<VectorClock>>,
-    condvars: Vec<Mutex<VectorClock>>,
-    barriers: Vec<Mutex<OnlineBarrier>>,
-    handoff: Handoff,
-    sink: ReportSink,
-    counters: AtomicCaseCounters,
+pub struct FtoHbFamily;
+
+/// One lock's HB clocks: `Lm` and the reader aggregate `LRm`. Write-mode
+/// acquires join both (a writer orders after every prior reader); read
+/// releases *join into* `LRm` (readers do not order each other).
+#[derive(Debug, Default)]
+pub struct HbLock {
+    exclusive: VectorClock,
+    readers: VectorClock,
 }
 
-impl ConcurrentFtoHb {
-    /// Creates the analysis with metadata tables sized by `spec`.
-    pub fn new(spec: WorldSpec) -> Self {
-        ConcurrentFtoHb {
-            vars: table(spec.vars),
-            locks: table(spec.locks),
-            read_locks: table(spec.locks),
-            volatiles: table(spec.volatiles),
-            condvars: table(spec.condvars),
-            barriers: table(spec.barriers),
-            handoff: Handoff::new(spec.threads),
-            sink: ReportSink::new(),
-            counters: AtomicCaseCounters::new(),
-        }
-    }
-}
+impl OnlineFamily for FtoHbFamily {
+    type Var = FtoVar;
+    /// Locks this thread currently holds in read mode (innermost last): a
+    /// release of one of these is a read-mode release.
+    type Thread = Vec<LockId>;
+    type Lock = HbLock;
 
-impl OnlineAnalysis for ConcurrentFtoHb {
-    type Ctx<'a> = HbCtx<'a>;
+    const TICK_EVERY_SYNC: bool = false;
+    const NAME: &'static str = "FTO-HB (parallel)";
+    const RELATION: Relation = Relation::Hb;
+    const OPT_LEVEL: OptLevel = OptLevel::Fto;
 
-    fn name(&self) -> &'static str {
-        "FTO-HB (parallel)"
+    fn fto(var: &FtoVar) -> &FtoVar {
+        var
     }
 
-    fn relation(&self) -> smarttrack_detect::Relation {
-        smarttrack_detect::Relation::Hb
+    fn access(
+        var: &mut FtoVar,
+        _: &mut Vec<LockId>,
+        kind: AccessKind,
+        e: Epoch,
+        clock: &mut VectorClock,
+    ) -> (FtoCase, Vec<ThreadId>) {
+        var.access(kind, e, |a| a.leq_vc(clock))
     }
 
-    fn opt_level(&self) -> smarttrack_detect::OptLevel {
-        smarttrack_detect::OptLevel::Fto
-    }
-
-    fn races_so_far(&self) -> usize {
-        self.sink.len()
-    }
-
-    fn context(&self, t: ThreadId) -> HbCtx<'_> {
-        let mut clock = VectorClock::new();
-        clock.set(t, 1);
-        self.handoff.absorb_start(t, &mut clock);
-        HbCtx {
-            t,
-            clock,
-            read_held: Vec::new(),
-            barrier_round: Vec::new(),
-            shared: self,
-        }
-    }
-
-    fn report(&self) -> Report {
-        self.sink.snapshot()
-    }
-
-    fn case_counters(&self) -> FtoCaseCounters {
-        self.counters.snapshot()
-    }
-}
-
-/// Per-thread handle of [`ConcurrentFtoHb`].
-#[derive(Debug)]
-pub struct HbCtx<'a> {
-    t: ThreadId,
-    clock: VectorClock,
-    /// Locks this thread currently holds in read mode (innermost last):
-    /// a release of one of these is a read-mode release.
-    read_held: Vec<LockId>,
-    /// Per barrier: the rendezvous round this thread last entered.
-    barrier_round: Vec<u64>,
-    shared: &'a ConcurrentFtoHb,
-}
-
-/// The lowered ops of this context's thread: `t` is always `self.t`.
-impl SyncCore for HbCtx<'_> {
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.clock.get(t));
-        let sv = &self.shared.vars[x.index()];
-        // Lock-free fast path (§5.1): a hit proves the access redundant.
-        if sv.read_mirror.load().is_same_epoch(e) {
-            self.shared.counters.hit(FtoCase::ReadSameEpoch);
-            return;
-        }
-        let mut guard = sv.meta.lock();
-        let meta = &mut *guard;
-        // Authoritative same-epoch checks (the mirror can be stale-shared).
-        match &meta.read {
-            ReadMeta::Epoch(r) if *r == e => {
-                self.shared.counters.hit(FtoCase::ReadSameEpoch);
-                return;
-            }
-            ReadMeta::Vc(vc) if vc.get(t) == e.clock() => {
-                self.shared.counters.hit(FtoCase::SharedSameEpoch);
-                return;
-            }
-            _ => {}
-        }
-        let now = &self.clock;
-        let mut race_with_write = false;
-        match &mut meta.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.shared.counters.hit(FtoCase::ReadOwned);
-                meta.read = ReadMeta::Epoch(e);
-                sv.read_mirror.store(e);
-            }
-            ReadMeta::Epoch(r) => {
-                if r.leq_vc(now) {
-                    self.shared.counters.hit(FtoCase::ReadExclusive);
-                    meta.read = ReadMeta::Epoch(e);
-                    sv.read_mirror.store(e);
-                } else {
-                    self.shared.counters.hit(FtoCase::ReadShare);
-                    race_with_write = !meta.write.leq_vc(now);
-                    meta.read.share(e);
-                    sv.read_mirror.mark_shared();
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                if vc.get(t) != 0 {
-                    self.shared.counters.hit(FtoCase::ReadSharedOwned);
-                } else {
-                    self.shared.counters.hit(FtoCase::ReadShared);
-                    race_with_write = !meta.write.leq_vc(now);
-                }
-                vc.set(t, e.clock());
-            }
-        }
-        if race_with_write {
-            let prior = vec![meta.write.tid()];
-            drop(guard);
-            self.shared.sink.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.clock.get(t));
-        let sv = &self.shared.vars[x.index()];
-        if sv.write_mirror.load().is_same_epoch(e) {
-            self.shared.counters.hit(FtoCase::WriteSameEpoch);
-            return;
-        }
-        let mut guard = sv.meta.lock();
-        let meta = &mut *guard;
-        if meta.write == e {
-            self.shared.counters.hit(FtoCase::WriteSameEpoch);
-            return;
-        }
-        let now = &self.clock;
-        let mut prior: Vec<ThreadId> = Vec::new();
-        match &meta.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                self.shared.counters.hit(FtoCase::WriteOwned);
-            }
-            ReadMeta::Epoch(r) => {
-                self.shared.counters.hit(FtoCase::WriteExclusive);
-                if !r.leq_vc(now) {
-                    prior.push(r.tid());
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                self.shared.counters.hit(FtoCase::WriteShared);
-                for (u, c) in vc.iter_nonzero() {
-                    if c > now.get(u) {
-                        prior.push(u);
-                    }
-                }
-            }
-        }
-        meta.write = e;
-        meta.read = ReadMeta::Epoch(e);
-        sv.write_mirror.store(e);
-        sv.read_mirror.store(e);
-        drop(guard);
-        if !prior.is_empty() {
-            self.shared.sink.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn acquire(&mut self, _id: EventId, _t: ThreadId, m: LockId, mode: LockMode) {
-        {
-            let lm = self.shared.locks[m.index()].lock();
-            self.clock.join(&lm);
-        }
+    fn acquire(
+        lock: &Mutex<HbLock>,
+        read_held: &mut Vec<LockId>,
+        clock: &mut VectorClock,
+        m: LockId,
+        mode: LockMode,
+    ) {
+        let lock = lock.lock();
+        clock.join(&lock.exclusive);
         match mode {
             // A write-involved acquire also orders after every prior reader.
-            LockMode::Exclusive => self.clock.join(&self.shared.read_locks[m.index()].lock()),
+            LockMode::Exclusive => clock.join(&lock.readers),
             // Readers order after the last writer only — not after each other.
-            LockMode::Read => self.read_held.push(m),
+            LockMode::Read => read_held.push(m),
         }
     }
 
-    fn release(&mut self, _id: EventId, _t: ThreadId, m: LockId) {
-        if let Some(pos) = self.read_held.iter().rposition(|&l| l == m) {
-            self.read_held.remove(pos);
-            // Join (not assign): concurrent readers' times accumulate so
-            // the next writer orders after all of them.
-            self.shared.read_locks[m.index()].lock().join(&self.clock);
-        } else {
-            self.shared.locks[m.index()].lock().assign(&self.clock);
-        }
-        self.clock.increment(self.t);
-    }
-
-    fn publish(&mut self, _id: EventId, _t: ThreadId, obj: SyncObj) {
-        match obj {
-            SyncObj::Volatile(v) => {
-                let mut vv = self.shared.volatiles[v.index()].lock();
-                self.clock.join(&vv);
-                vv.assign(&self.clock);
+    fn release(
+        lock: &Mutex<HbLock>,
+        read_held: &mut Vec<LockId>,
+        clock: &mut VectorClock,
+        m: LockId,
+    ) {
+        let mut lock = lock.lock();
+        match read_held.iter().rposition(|&l| l == m) {
+            Some(pos) => {
+                read_held.remove(pos);
+                // Join (not assign): concurrent readers' times accumulate
+                // so the next writer orders after all of them.
+                lock.readers.join(clock);
             }
-            SyncObj::Cond(c) => self.shared.condvars[c.index()].lock().join(&self.clock),
+            None => lock.exclusive.assign(clock),
         }
-        self.clock.increment(self.t);
-    }
-
-    fn absorb(&mut self, _id: EventId, _t: ThreadId, obj: SyncObj) {
-        let clock = match obj {
-            SyncObj::Volatile(v) => &self.shared.volatiles[v.index()],
-            SyncObj::Cond(c) => &self.shared.condvars[c.index()],
-        };
-        self.clock.join(&clock.lock());
-    }
-
-    fn fork(&mut self, _id: EventId, _t: ThreadId, u: ThreadId) {
-        self.shared.handoff.offer_start(u, &self.clock);
-        self.clock.increment(self.t);
-    }
-
-    fn join(&mut self, _id: EventId, _t: ThreadId, u: ThreadId) {
-        self.shared.handoff.absorb_final(u, &mut self.clock);
-    }
-
-    fn barrier_enter(&mut self, _id: EventId, _t: ThreadId, b: BarrierId) {
-        // Remember which round we joined: a fast peer may seal this round
-        // and start gathering the next before our exit hook runs.
-        let round = self.shared.barriers[b.index()].lock().enter(&self.clock);
-        if b.index() >= self.barrier_round.len() {
-            self.barrier_round.resize(b.index() + 1, 0);
-        }
-        self.barrier_round[b.index()] = round;
-        self.clock.increment(self.t);
-    }
-
-    fn barrier_exit(&mut self, _id: EventId, _t: ThreadId, b: BarrierId) {
-        let round = self.barrier_round.get(b.index()).copied().unwrap_or(0);
-        let open = self.shared.barriers[b.index()].lock().exit(round);
-        self.clock.join(&open);
-    }
-}
-
-impl OnlineCtx for HbCtx<'_> {
-    fn tid(&self) -> ThreadId {
-        self.t
-    }
-
-    fn on_event(&mut self, id: EventId, op: Op, loc: Loc) {
-        lower(self, id, self.t, op, loc);
-    }
-
-    fn publish(&mut self) {
-        self.shared.handoff.publish_final(self.t, &self.clock);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feed_trace;
+    use crate::{feed_trace, OnlineAnalysis, WorldSpec};
     use smarttrack_detect::{run_detector, Detector, FtoHb};
-    use smarttrack_trace::{paper, TraceBuilder};
+    use smarttrack_trace::{paper, Op, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)

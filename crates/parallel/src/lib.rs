@@ -14,17 +14,24 @@
 //! > all analyses are volatile variables."
 //!
 //! This crate reproduces that architecture for the two ends of the paper's
-//! analysis spectrum:
+//! analysis spectrum, as one generic [`OnlineRow`] that runs the sequential
+//! rows' own per-variable access bodies and hard-edge rules:
 //!
-//! * [`ConcurrentFtoHb`] — FTO-HB (the FastTrack-family baseline) with
-//!   per-variable metadata locks, per-lock clock locks, and lock-free
-//!   same-epoch fast paths over atomic epochs ([`AtomicEpoch`]);
+//! * [`ConcurrentFtoHb`] — FTO-HB (the FastTrack-family baseline) over the
+//!   [`FtoVar`](smarttrack_detect::FtoVar) bodies, with per-lock clock
+//!   locks;
 //! * [`ConcurrentSmartTrackWdc`] — SmartTrack-WDC (the paper's cheapest
-//!   predictive analysis, §5.7) with the same per-variable locking, and
-//!   critical-section lists whose deferred release times are published
-//!   through write-once cells — the concurrent realization of Algorithm 3's
-//!   "reference to a new vector clock \[with\] `C(t) ← ∞`" (lines 3–5): a
-//!   pending cell reads as `∞`, a published one as the release time.
+//!   predictive analysis, §5.7) over the [`StVar`](smarttrack_detect::StVar)
+//!   bodies, whose critical-section lists use the thread-safe
+//!   [`ArcCells`](smarttrack_detect::ArcCells) family: deferred release
+//!   times are published through write-once cells — the concurrent
+//!   realization of Algorithm 3's "reference to a new vector clock \[with\]
+//!   `C(t) ← ∞`" (lines 3–5): a pending cell reads as `∞`, a published one
+//!   as the release time.
+//!
+//! What the row adds to the bodies is only the concurrency: a mutex per
+//! variable, lock-free same-epoch fast paths over atomic epoch mirrors
+//! ([`AtomicEpoch`]), and the `Arc` cells.
 //!
 //! Both implement [`OnlineAnalysis`]: application threads obtain a
 //! [`OnlineCtx`] handle each and push their own events through it, exactly
@@ -60,22 +67,22 @@
 //! ```
 
 mod atomic;
-mod ccs;
 mod driver;
 mod feed;
 mod hb;
 mod lane;
+mod row;
 mod shared;
 mod wdc;
 mod world;
 
 pub use atomic::{AtomicEpoch, Mirror};
-pub use ccs::{SharedCsEntry, SharedCsList};
 pub use driver::{run_online, OnlineError, OnlineRun};
 pub use feed::feed_trace;
-pub use hb::ConcurrentFtoHb;
+pub use hb::{ConcurrentFtoHb, FtoHbFamily};
 pub use lane::OnlineLane;
-pub use wdc::ConcurrentSmartTrackWdc;
+pub use row::{OnlineFamily, OnlineRow, RowCtx};
+pub use wdc::{ConcurrentSmartTrackWdc, StWdcFamily};
 pub use world::WorldSpec;
 
 // The one worker-count derivation shared by every parallel driver in the

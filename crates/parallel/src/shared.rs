@@ -25,11 +25,7 @@ impl AtomicCaseCounters {
 
     #[inline]
     pub fn hit(&self, case: FtoCase) {
-        let i = FtoCase::ALL
-            .iter()
-            .position(|c| *c == case)
-            .expect("known case");
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
+        self.counts[case.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> FtoCaseCounters {

@@ -2,103 +2,30 @@
 //! (§5.7) running inside the application threads.
 //!
 //! This is Algorithm 3 minus rule (b) (the WDC relation, §3), with the
-//! sequential implementation's `Strict` CCS fidelity refinements (DESIGN.md
-//! §5 items 4–5), re-partitioned for parallel execution:
+//! sequential implementation's `Strict` CCS fidelity refinements: the
+//! generic [`OnlineRow`] over the sequential SmartTrack rows' per-variable
+//! [`StVar`] bodies. Two things differ from the sequential row:
 //!
 //! * `Ct` and `Ht` are owned by the thread's context — WDC lock operations
 //!   touch **no shared analysis state** except publishing the critical
 //!   section's release time into its write-once cell;
-//! * all per-variable metadata (`Wx`, `Rx`, `Lwx`, `Lrx`, `Ewx`, `Erx`)
-//!   lives behind one per-variable mutex, with atomic epoch mirrors for the
-//!   lock-free same-epoch fast paths (§5.1);
-//! * `MultiCheck` reads other threads' critical-section release times
-//!   through [`SharedCsEntry`] cells; a pending cell *is* the paper's `∞`.
-
-use std::collections::HashMap;
+//! * CS lists use the thread-safe [`ArcCells`] family: a section's release
+//!   time is an `Arc<OnceLock<VectorClock>>`, and a cell not yet published
+//!   *is* the paper's `∞`. The `OnceLock` publication carries the
+//!   happens-before edge from the release to every later reader, and
+//!   resolution is visible where the analysis relies on it: when the
+//!   current thread *holds* lock `m`, any other thread's critical section
+//!   on `m` has run its release hook (hooks run before the real unlock).
 
 use parking_lot::Mutex;
-use smarttrack_clock::{Epoch, ReadMeta, ThreadId, VectorClock};
+use smarttrack_clock::{Epoch, ThreadId, VectorClock};
 use smarttrack_detect::{
-    lower, AccessKind, FtoCase, FtoCaseCounters, LockMode, RaceReport, Report, SyncCore, SyncObj,
+    AccessKind, ArcCells, CcsFidelity, FtoCase, FtoVar, HeldSections, LockMode, OptLevel, Relation,
+    StVar,
 };
-use smarttrack_trace::{BarrierId, EventId, Loc, LockId, Op, VarId};
+use smarttrack_trace::LockId;
 
-use crate::atomic::AtomicEpoch;
-use crate::ccs::{multi_check_shared, ReleaseCell, SharedCsEntry, SharedCsList};
-use crate::shared::{AtomicCaseCounters, Handoff, OnlineBarrier, ReportSink};
-use crate::world::{table, WorldSpec};
-use crate::{OnlineAnalysis, OnlineCtx};
-
-/// Read-side CS metadata mirroring the representation of `Rx` (see the
-/// sequential `LrMeta`).
-#[derive(Debug)]
-enum SharedLr {
-    Single(Option<SharedCsList>),
-    PerThread(HashMap<ThreadId, SharedCsList>),
-}
-
-impl Default for SharedLr {
-    fn default() -> Self {
-        SharedLr::Single(None)
-    }
-}
-
-/// Extras keyed per `(lock, write-mode)`: a read-mode residual must not be
-/// absorbed by a later read-mode hold (read/read pairs never conflict), so
-/// the hold-mode gate needs both the lock and the stashed section's mode.
-type SharedExtraMap = HashMap<ThreadId, HashMap<(LockId, bool), ReleaseCell>>;
-
-/// `Erx`/`Ewx` fall-back metadata (paper §4.2, "Using extra metadata").
-#[derive(Debug, Default)]
-struct SharedExtras {
-    read: SharedExtraMap,
-    write: SharedExtraMap,
-}
-
-impl SharedExtras {
-    fn is_empty(&self) -> bool {
-        self.read.values().all(HashMap::is_empty) && self.write.values().all(HashMap::is_empty)
-    }
-}
-
-/// Strict-mode residual stash: merge per lock (a thread's newer release time
-/// on a lock dominates its older one).
-fn stash(side: &mut SharedExtraMap, owner: ThreadId, residual: Vec<SharedCsEntry>) {
-    if residual.is_empty() {
-        return;
-    }
-    let map = side.entry(owner).or_default();
-    for e in residual {
-        let cell = e.cell().clone();
-        map.insert((e.lock, e.write), cell);
-    }
-}
-
-/// The extras keys a hold of `m` (write-mode iff `held_write`) conflicts
-/// with: write-mode sections always, read-mode sections only under a
-/// write-mode hold.
-fn conflicting_keys(m: LockId, held_write: bool) -> impl Iterator<Item = (LockId, bool)> {
-    std::iter::once((m, true)).chain(held_write.then_some((m, false)))
-}
-
-/// Authoritative per-variable metadata (guarded by the variable's mutex).
-#[derive(Debug, Default)]
-struct StMeta {
-    write: Epoch,
-    read: ReadMeta,
-    lw: Option<SharedCsList>,
-    lr: SharedLr,
-    extras: Option<Box<SharedExtras>>,
-}
-
-/// Cache-line aligned to avoid false sharing between adjacent variables.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ShadowVar {
-    write_mirror: AtomicEpoch,
-    read_mirror: AtomicEpoch,
-    meta: Mutex<StMeta>,
-}
+use crate::row::{OnlineFamily, OnlineRow};
 
 /// SmartTrack-WDC analysis with concurrent metadata (the parallel
 /// counterpart of [`SmartTrackWdc`](smarttrack_detect::SmartTrackWdc) in
@@ -115,501 +42,67 @@ struct ShadowVar {
 /// let report = feed_trace(&analysis, &trace);
 /// assert_eq!(report.dynamic_count(), 1, "figure 1's predictable race");
 /// ```
+pub type ConcurrentSmartTrackWdc = OnlineRow<StWdcFamily>;
+
+/// The SmartTrack-WDC family of [`OnlineRow`].
 #[derive(Debug)]
-pub struct ConcurrentSmartTrackWdc {
-    vars: Vec<ShadowVar>,
-    volatiles: Vec<Mutex<VectorClock>>,
-    condvars: Vec<Mutex<VectorClock>>,
-    barriers: Vec<Mutex<OnlineBarrier>>,
-    handoff: Handoff,
-    sink: ReportSink,
-    counters: AtomicCaseCounters,
+pub struct StWdcFamily;
+
+/// WDC's ordering test: the plain epoch-before-clock check.
+fn wdc_ordered(a: Epoch, now: &VectorClock) -> bool {
+    a.leq_vc(now)
 }
 
-impl ConcurrentSmartTrackWdc {
-    /// Creates the analysis with metadata tables sized by `spec`.
-    pub fn new(spec: WorldSpec) -> Self {
-        ConcurrentSmartTrackWdc {
-            vars: table(spec.vars),
-            volatiles: table(spec.volatiles),
-            condvars: table(spec.condvars),
-            barriers: table(spec.barriers),
-            handoff: Handoff::new(spec.threads),
-            sink: ReportSink::new(),
-            counters: AtomicCaseCounters::new(),
-        }
-    }
-}
+impl OnlineFamily for StWdcFamily {
+    type Var = StVar<ArcCells>;
+    /// `Ht`: the thread's active critical sections, outermost first.
+    type Thread = HeldSections<ArcCells>;
+    /// WDC has no per-lock clocks: lock-induced ordering comes only from
+    /// rule (a), through the CS lists.
+    type Lock = ();
 
-impl OnlineAnalysis for ConcurrentSmartTrackWdc {
-    type Ctx<'a> = WdcCtx<'a>;
+    const TICK_EVERY_SYNC: bool = true;
+    const NAME: &'static str = "SmartTrack-WDC (parallel)";
+    const RELATION: Relation = Relation::Wdc;
+    const OPT_LEVEL: OptLevel = OptLevel::SmartTrack;
 
-    fn name(&self) -> &'static str {
-        "SmartTrack-WDC (parallel)"
+    fn fto(var: &Self::Var) -> &FtoVar {
+        var.fto()
     }
 
-    fn relation(&self) -> smarttrack_detect::Relation {
-        smarttrack_detect::Relation::Wdc
+    fn access(
+        var: &mut Self::Var,
+        held: &mut Self::Thread,
+        kind: AccessKind,
+        e: Epoch,
+        clock: &mut VectorClock,
+    ) -> (FtoCase, Vec<ThreadId>) {
+        var.access(kind, e, held, clock, wdc_ordered, CcsFidelity::Strict)
     }
 
-    fn opt_level(&self) -> smarttrack_detect::OptLevel {
-        smarttrack_detect::OptLevel::SmartTrack
-    }
-
-    fn races_so_far(&self) -> usize {
-        self.sink.len()
-    }
-
-    fn context(&self, t: ThreadId) -> WdcCtx<'_> {
-        let mut clock = VectorClock::new();
-        clock.set(t, 1);
-        self.handoff.absorb_start(t, &mut clock);
-        WdcCtx {
-            t,
-            clock,
-            ht: Vec::new(),
-            ht_cache: None,
-            barrier_round: Vec::new(),
-            shared: self,
-        }
-    }
-
-    fn report(&self) -> Report {
-        self.sink.snapshot()
-    }
-
-    fn case_counters(&self) -> FtoCaseCounters {
-        self.counters.snapshot()
-    }
-}
-
-/// Per-thread handle of [`ConcurrentSmartTrackWdc`].
-#[derive(Debug)]
-pub struct WdcCtx<'a> {
-    t: ThreadId,
-    clock: VectorClock,
-    /// `Ht`: active critical sections, outermost first.
-    ht: Vec<SharedCsEntry>,
-    /// Cached shared snapshot of `Ht`, invalidated at lock operations.
-    ht_cache: Option<SharedCsList>,
-    /// Per barrier: the rendezvous round this thread last entered.
-    barrier_round: Vec<u64>,
-    shared: &'a ConcurrentSmartTrackWdc,
-}
-
-impl WdcCtx<'_> {
-    fn held(&self) -> Vec<(LockId, bool)> {
-        self.ht.iter().map(|e| (e.lock, e.write)).collect()
-    }
-
-    fn snapshot_ht(&mut self) -> SharedCsList {
-        if self.ht_cache.is_none() {
-            self.ht_cache = Some(SharedCsList::from_entries(self.t, self.ht.clone()));
-        }
-        self.ht_cache.clone().expect("just filled")
-    }
-
-    /// Algorithm 3 lines 19–23 plus the Strict write-side absorption. Only
-    /// stashed sections *conflicting* with a current hold are absorbed and
-    /// removed: read-mode residuals survive read-mode holds for a later
-    /// write-involved pair.
-    fn absorb_extras_at_write(
-        meta: &mut StMeta,
-        held: &[(LockId, bool)],
-        t: ThreadId,
-        now: &mut VectorClock,
+    fn acquire(
+        _: &Mutex<()>,
+        held: &mut Self::Thread,
+        _: &mut VectorClock,
+        m: LockId,
+        mode: LockMode,
     ) {
-        let Some(ex) = meta.extras.as_mut() else {
-            return;
-        };
-        if ex.is_empty() {
-            return;
-        }
-        for &(m, held_write) in held {
-            for key in conflicting_keys(m, held_write) {
-                for (&u, map) in ex.read.iter() {
-                    if u != t {
-                        if let Some(cell) = map.get(&key) {
-                            now.join(resolved(cell));
-                        }
-                    }
-                }
-                for (&u, map) in ex.write.iter() {
-                    if u != t {
-                        if let Some(cell) = map.get(&key) {
-                            now.join(resolved(cell));
-                        }
-                    }
-                }
-                for (&u, map) in ex.read.iter_mut() {
-                    if u != t {
-                        map.remove(&key);
-                    }
-                }
-                for (&u, map) in ex.write.iter_mut() {
-                    if u != t {
-                        map.remove(&key);
-                    }
-                }
-            }
-        }
-        ex.read.remove(&t);
-        ex.write.remove(&t);
-        if ex.is_empty() {
-            meta.extras = None;
-        }
+        held.acquire(m, mode);
     }
 
-    /// Algorithm 3 lines 4–6: absorb write-side extras at a read.
-    fn absorb_extras_at_read(
-        meta: &StMeta,
-        held: &[(LockId, bool)],
-        t: ThreadId,
-        now: &mut VectorClock,
-    ) {
-        let Some(ex) = meta.extras.as_ref() else {
-            return;
-        };
-        if ex.write.values().all(HashMap::is_empty) {
-            return;
+    fn release(_: &Mutex<()>, held: &mut Self::Thread, clock: &mut VectorClock, m: LockId) {
+        if let Some(entry) = held.release(m) {
+            entry.resolve(clock.clone());
         }
-        for &(m, held_write) in held {
-            for key in conflicting_keys(m, held_write) {
-                for (&u, map) in ex.write.iter() {
-                    if u != t {
-                        if let Some(cell) = map.get(&key) {
-                            now.join(resolved(cell));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The lowered ops of this context's thread: `t` is always `self.t`.
-impl SyncCore for WdcCtx<'_> {
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let shared = self.shared;
-        let e = Epoch::new(t, self.clock.get(t));
-        let sv = &shared.vars[x.index()];
-        if sv.read_mirror.load().is_same_epoch(e) {
-            shared.counters.hit(FtoCase::ReadSameEpoch);
-            return;
-        }
-        let held = self.held();
-        let snapshot = self.snapshot_ht();
-        let mut guard = sv.meta.lock();
-        let meta = &mut *guard;
-        match &meta.read {
-            ReadMeta::Epoch(r) if *r == e => {
-                shared.counters.hit(FtoCase::ReadSameEpoch);
-                return;
-            }
-            ReadMeta::Vc(vc) if vc.get(t) == e.clock() => {
-                shared.counters.hit(FtoCase::SharedSameEpoch);
-                return;
-            }
-            _ => {}
-        }
-        let mut now = self.clock.clone();
-        Self::absorb_extras_at_read(meta, &held, t, &mut now);
-        let mut raced_with_write = false;
-
-        match &mut meta.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                shared.counters.hit(FtoCase::ReadOwned);
-                meta.lr = SharedLr::Single(Some(snapshot));
-                meta.read = ReadMeta::Epoch(e);
-                sv.read_mirror.store(e);
-            }
-            ReadMeta::Epoch(r) if r.is_none() => {
-                shared.counters.hit(FtoCase::ReadExclusive);
-                meta.lr = SharedLr::Single(Some(snapshot));
-                meta.read = ReadMeta::Epoch(e);
-                sv.read_mirror.store(e);
-            }
-            ReadMeta::Epoch(r) => {
-                let r = *r;
-                let u = r.tid();
-                // Line 11: the outermost release of the prior access's CS
-                // list, or Rx itself if the list is empty; pending = ∞.
-                let lr_list = match &meta.lr {
-                    SharedLr::Single(l) => l.as_ref(),
-                    SharedLr::PerThread(_) => unreachable!("epoch Rx implies single Lrx"),
-                };
-                let ordered = match lr_list.and_then(SharedCsList::outermost) {
-                    Some(outer) => match outer.release_clock() {
-                        Some(rel) => rel.get(u) <= now.get(u),
-                        None => false,
-                    },
-                    None => r.leq_vc(&now),
-                };
-                if ordered {
-                    shared.counters.hit(FtoCase::ReadExclusive);
-                    meta.lr = SharedLr::Single(Some(snapshot));
-                    meta.read = ReadMeta::Epoch(e);
-                    sv.read_mirror.store(e);
-                } else {
-                    shared.counters.hit(FtoCase::ReadShare);
-                    let (_, raced) =
-                        multi_check_shared(&mut now, &held, meta.lw.as_ref(), meta.write);
-                    raced_with_write = raced;
-                    let old = match std::mem::take(&mut meta.lr) {
-                        SharedLr::Single(l) => l.unwrap_or_else(|| SharedCsList::empty(u)),
-                        SharedLr::PerThread(_) => unreachable!(),
-                    };
-                    let mut map = HashMap::new();
-                    map.insert(u, old);
-                    map.insert(t, snapshot);
-                    meta.lr = SharedLr::PerThread(map);
-                    meta.read.share(e);
-                    sv.read_mirror.mark_shared();
-                }
-            }
-            ReadMeta::Vc(rvc) => {
-                if rvc.get(t) != 0 {
-                    shared.counters.hit(FtoCase::ReadSharedOwned);
-                    // Strict refinement: keep rule (a) ordering from the last
-                    // write's critical sections (join-only, no race check).
-                    if meta.lw.as_ref().is_some_and(|l| l.owner != t) {
-                        let _ = multi_check_shared(&mut now, &held, meta.lw.as_ref(), Epoch::NONE);
-                    }
-                    rvc.set(t, e.clock());
-                } else {
-                    shared.counters.hit(FtoCase::ReadShared);
-                    let write = meta.write;
-                    let (_, raced) = multi_check_shared(&mut now, &held, meta.lw.as_ref(), write);
-                    raced_with_write = raced;
-                    rvc.set(t, e.clock());
-                }
-                match &mut meta.lr {
-                    SharedLr::PerThread(map) => {
-                        map.insert(t, snapshot);
-                    }
-                    SharedLr::Single(_) => unreachable!("vector Rx implies per-thread Lrx"),
-                }
-            }
-        }
-        let write_tid = (!meta.write.is_none()).then(|| meta.write.tid());
-        drop(guard);
-        self.clock.assign(&now);
-        if raced_with_write {
-            shared.sink.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Read,
-                prior_threads: write_tid.into_iter().collect(),
-            });
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let shared = self.shared;
-        let e = Epoch::new(t, self.clock.get(t));
-        let sv = &shared.vars[x.index()];
-        if sv.write_mirror.load().is_same_epoch(e) {
-            shared.counters.hit(FtoCase::WriteSameEpoch);
-            return;
-        }
-        let held = self.held();
-        let snapshot = self.snapshot_ht();
-        let mut guard = sv.meta.lock();
-        let meta = &mut *guard;
-        if meta.write == e {
-            shared.counters.hit(FtoCase::WriteSameEpoch);
-            return;
-        }
-        let mut now = self.clock.clone();
-        Self::absorb_extras_at_write(meta, &held, t, &mut now);
-        let mut prior: Vec<ThreadId> = Vec::new();
-
-        match &meta.read {
-            ReadMeta::Epoch(r) if r.is_owned_by(t) => {
-                shared.counters.hit(FtoCase::WriteOwned);
-            }
-            ReadMeta::Epoch(r) if r.is_none() => {
-                shared.counters.hit(FtoCase::WriteExclusive);
-            }
-            ReadMeta::Epoch(r) => {
-                shared.counters.hit(FtoCase::WriteExclusive);
-                let r = *r;
-                let u = r.tid();
-                let lr = match &meta.lr {
-                    SharedLr::Single(l) => l.as_ref(),
-                    SharedLr::PerThread(_) => unreachable!("epoch Rx implies single Lrx"),
-                };
-                let (residual, raced) = multi_check_shared(&mut now, &held, lr, r);
-                if raced {
-                    prior.push(u);
-                }
-                if !residual.is_empty() {
-                    let ex = meta.extras.get_or_insert_with(Default::default);
-                    stash(&mut ex.read, u, residual);
-                    if meta.lw.as_ref().is_some_and(|l| l.owner == u) {
-                        let (wres, _) =
-                            multi_check_shared(&mut now, &held, meta.lw.as_ref(), Epoch::NONE);
-                        let ex = meta.extras.get_or_insert_with(Default::default);
-                        stash(&mut ex.write, u, wres);
-                    }
-                }
-            }
-            ReadMeta::Vc(rvc) => {
-                shared.counters.hit(FtoCase::WriteShared);
-                let rvc = rvc.clone();
-                for (u, c) in rvc.iter_nonzero() {
-                    if u == t {
-                        continue;
-                    }
-                    let lr = match &meta.lr {
-                        SharedLr::PerThread(map) => map.get(&u),
-                        SharedLr::Single(_) => None,
-                    };
-                    let (residual, raced) =
-                        multi_check_shared(&mut now, &held, lr, Epoch::new(u, c));
-                    if raced {
-                        prior.push(u);
-                    }
-                    if !residual.is_empty() {
-                        let ex = meta.extras.get_or_insert_with(Default::default);
-                        stash(&mut ex.read, u, residual);
-                        if meta.lw.as_ref().is_some_and(|l| l.owner == u) {
-                            let (wres, _) =
-                                multi_check_shared(&mut now, &held, meta.lw.as_ref(), Epoch::NONE);
-                            let ex = meta.extras.get_or_insert_with(Default::default);
-                            stash(&mut ex.write, u, wres);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Lines 36–37: Lwx ← Lrx ← Ht; Wx ← Rx ← Ct(t).
-        meta.lw = Some(snapshot.clone());
-        meta.lr = SharedLr::Single(Some(snapshot));
-        meta.write = e;
-        meta.read = ReadMeta::Epoch(e);
-        sv.write_mirror.store(e);
-        sv.read_mirror.store(e);
-        drop(guard);
-        self.clock.assign(&now);
-        if !prior.is_empty() {
-            shared.sink.push(RaceReport {
-                event: id,
-                loc,
-                tid: t,
-                var: x,
-                kind: AccessKind::Write,
-                prior_threads: prior,
-            });
-        }
-    }
-
-    fn acquire(&mut self, _id: EventId, _t: ThreadId, m: LockId, mode: LockMode) {
-        self.ht.push(match mode {
-            LockMode::Exclusive => SharedCsEntry::pending(m),
-            LockMode::Read => SharedCsEntry::pending_read(m),
-        });
-        self.ht_cache = None;
-        self.clock.increment(self.t);
-    }
-
-    fn release(&mut self, _id: EventId, _t: ThreadId, m: LockId) {
-        self.ht_cache = None;
-        // Innermost-first search tolerates non-LIFO unlocking, like the
-        // sequential implementation.
-        if let Some(pos) = self.ht.iter().rposition(|e| e.lock == m) {
-            let entry = self.ht.remove(pos);
-            entry.resolve(self.clock.clone());
-        }
-        self.clock.increment(self.t);
-    }
-
-    fn publish(&mut self, _id: EventId, _t: ThreadId, obj: SyncObj) {
-        match obj {
-            SyncObj::Volatile(v) => {
-                let mut vv = self.shared.volatiles[v.index()].lock();
-                self.clock.join(&vv);
-                vv.assign(&self.clock);
-            }
-            SyncObj::Cond(c) => self.shared.condvars[c.index()].lock().join(&self.clock),
-        }
-        self.clock.increment(self.t);
-    }
-
-    fn absorb(&mut self, _id: EventId, _t: ThreadId, obj: SyncObj) {
-        match obj {
-            SyncObj::Volatile(v) => {
-                self.clock.join(&self.shared.volatiles[v.index()].lock());
-                self.clock.increment(self.t);
-            }
-            // The middle of a wait: its release and reacquire tick.
-            SyncObj::Cond(c) => self.clock.join(&self.shared.condvars[c.index()].lock()),
-        }
-    }
-
-    fn fork(&mut self, _id: EventId, _t: ThreadId, u: ThreadId) {
-        self.shared.handoff.offer_start(u, &self.clock);
-        self.clock.increment(self.t);
-    }
-
-    fn join(&mut self, _id: EventId, _t: ThreadId, u: ThreadId) {
-        self.shared.handoff.absorb_final(u, &mut self.clock);
-        self.clock.increment(self.t);
-    }
-
-    fn barrier_enter(&mut self, _id: EventId, _t: ThreadId, b: BarrierId) {
-        // Remember which round we joined: a fast peer may seal this round
-        // and start gathering the next before our exit hook runs.
-        let round = self.shared.barriers[b.index()].lock().enter(&self.clock);
-        if b.index() >= self.barrier_round.len() {
-            self.barrier_round.resize(b.index() + 1, 0);
-        }
-        self.barrier_round[b.index()] = round;
-        self.clock.increment(self.t);
-    }
-
-    fn barrier_exit(&mut self, _id: EventId, _t: ThreadId, b: BarrierId) {
-        let round = self.barrier_round.get(b.index()).copied().unwrap_or(0);
-        let open = self.shared.barriers[b.index()].lock().exit(round);
-        self.clock.join(&open);
-        // Predictive analyses increment at exits too (the shared hard-edge table's barrier exit)
-        // — the deterministic-feed differential pins this against the
-        // sequential SmartTrack-WDC.
-        self.clock.increment(self.t);
-    }
-}
-
-/// Reads a cell that the held-lock invariant guarantees is resolved: extras
-/// are only absorbed for locks the current thread holds, so their owners'
-/// critical sections have published their release times.
-fn resolved(cell: &ReleaseCell) -> &VectorClock {
-    cell.get()
-        .expect("extras for held locks reference completed critical sections")
-}
-
-impl OnlineCtx for WdcCtx<'_> {
-    fn tid(&self) -> ThreadId {
-        self.t
-    }
-
-    fn on_event(&mut self, id: EventId, op: Op, loc: Loc) {
-        lower(self, id, self.t, op, loc);
-    }
-
-    fn publish(&mut self) {
-        self.shared.handoff.publish_final(self.t, &self.clock);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feed_trace;
+    use crate::{feed_trace, OnlineAnalysis, WorldSpec};
     use smarttrack_detect::{run_detector, Detector, SmartTrackWdc};
-    use smarttrack_trace::{paper, TraceBuilder};
+    use smarttrack_trace::{paper, Op, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)

@@ -286,7 +286,12 @@ fn osr_analyze_and_batch_pipeline() {
         smarttrack_trace::binary::to_stb_bytes(&reversal),
     )
     .unwrap();
-    cli(&["figure", "figure1", "--out", &format!("{dir_str}/fig1.trace")]);
+    cli(&[
+        "figure",
+        "figure1",
+        "--out",
+        &format!("{dir_str}/fig1.trace"),
+    ]);
 
     // analyze: the syncp/osr split on one file.
     let text = cli(&[
@@ -309,10 +314,26 @@ fn osr_analyze_and_batch_pipeline() {
 
     // batch: both extension lanes over the corpus, job-count invariant.
     let solo = cli(&[
-        "batch", &dir_str, "--analysis", "syncp", "--analysis", "osr", "--jobs", "1", "--json",
+        "batch",
+        &dir_str,
+        "--analysis",
+        "syncp",
+        "--analysis",
+        "osr",
+        "--jobs",
+        "1",
+        "--json",
     ]);
     let two = cli(&[
-        "batch", &dir_str, "--analysis", "syncp", "--analysis", "osr", "--jobs", "2", "--json",
+        "batch",
+        &dir_str,
+        "--analysis",
+        "syncp",
+        "--analysis",
+        "osr",
+        "--jobs",
+        "2",
+        "--json",
     ]);
     assert_eq!(solo, two, "job count must not change the osr batch report");
     json::assert_valid_json(&solo);

@@ -147,6 +147,9 @@ fn docs_exist_and_cover_every_format() {
         "validate_reversal_witness",
         "LockOrderReversed",
         "osr_differential",
+        "FtoVar",
+        "StVar",
+        "OnlineRow",
     ] {
         assert!(text.contains(needle), "ARCHITECTURE.md lost `{needle}`");
     }

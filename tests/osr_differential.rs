@@ -120,7 +120,10 @@ fn assert_syncp_races_survive(syncp: &Report, osr: &Report, label: &str) {
         let o = osr
             .first_race_event()
             .expect("a SyncP race implies an OSR race");
-        assert!(o <= s, "{label}: OSR first race after SyncP's ({o:?} > {s:?})");
+        assert!(
+            o <= s,
+            "{label}: OSR first race after SyncP's ({o:?} > {s:?})"
+        );
     }
 }
 
@@ -367,7 +370,10 @@ fn reversal_trace_is_the_pinned_osr_only_race() {
     // exclusion — confirms the pair is a genuine predictable race.
     let oracle = PredictableRaceOracle::new(&trace);
     assert!(
-        matches!(oracle.is_predictable_race(pair.0, pair.1), OracleResult::Race(..)),
+        matches!(
+            oracle.is_predictable_race(pair.0, pair.1),
+            OracleResult::Race(..)
+        ),
         "exhaustive oracle confirms the reversal race"
     );
     assert_vindicated(&trace, &report, "reversal");
@@ -439,7 +445,9 @@ fn osr_config_round_trips() {
         AnalysisConfig::extended().contains(&config),
         "extended listing carries the OSR row"
     );
-    let err = "osr+g".parse::<AnalysisConfig>().expect_err("no graph variant");
+    let err = "osr+g"
+        .parse::<AnalysisConfig>()
+        .expect_err("no graph variant");
     assert!(
         err.to_string().contains("no graph-recording"),
         "rejection must explain itself: {err}"
