@@ -9,7 +9,8 @@
 //!    (`Paper`) vs. the conservative refinements (`Strict`, the default):
 //!    run-time cost and any divergence in reported races.
 //! 3. **Rule (b) queue compaction** (DESIGN.md §5 item 10): the effect of
-//!    declaring the thread count up front (`Detector::prepare`), which
+//!    declaring the thread count up front (the `StreamHint` a detector
+//!    gets at `Detector::begin_stream`), which
 //!    enables prefix compaction of the per-(lock, thread) acquire/release
 //!    logs.
 //! 4. **Related work** (§6): bounded-window exhaustive analysis and Eraser
@@ -19,7 +20,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use smarttrack::{analyze, AnalysisConfig, CcsFidelity, OptLevel, Relation};
+use smarttrack::{analyze, AnalysisConfig, CcsFidelity, OptLevel, Relation, StreamHint};
 use smarttrack_detect::{Detector, EraserLockset, SmartTrackDc, SmartTrackWdc};
 use smarttrack_vindicate::{WindowedConfig, WindowedRaceAnalysis};
 use smarttrack_workloads::{distant_race_trace, profiles};
@@ -28,7 +29,7 @@ use crate::stats::sig2;
 use crate::tables::ExperimentConfig;
 
 fn timed<D: Detector>(mut det: D, trace: &smarttrack_trace::Trace) -> (u64, usize, usize) {
-    det.prepare(trace);
+    det.begin_stream(StreamHint::of_trace(trace));
     let start = Instant::now();
     for (id, e) in trace.iter() {
         det.process(id, e);
@@ -59,7 +60,7 @@ pub fn rule_b_cost(cfg: &ExperimentConfig) -> String {
                 let mut det = AnalysisConfig::new(relation, level)
                     .detector()
                     .expect("valid");
-                det.prepare(&trace);
+                det.begin_stream(StreamHint::of_trace(&trace));
                 let start = Instant::now();
                 for (id, e) in trace.iter() {
                     det.process(id, e);
@@ -135,24 +136,24 @@ pub fn ccs_fidelity(cfg: &ExperimentConfig) -> String {
     out
 }
 
-/// Ablation 3: rule (b) queue compaction. `Detector::prepare` announces the
-/// thread count, enabling prefix compaction of the per-(lock, thread)
+/// Ablation 3: rule (b) queue compaction. The whole-trace `StreamHint`
+/// announces the thread count, enabling prefix compaction of the per-(lock, thread)
 /// acquire/release logs (DESIGN.md §5 item 10); without it the logs must be
 /// retained for threads that might still appear.
 pub fn queue_compaction(cfg: &ExperimentConfig) -> String {
     let mut out =
-        String::from("Ablation: DC rule (b) queue compaction (with prepare / without prepare)\n");
+        String::from("Ablation: DC rule (b) queue compaction (with / without the thread bound)\n");
     let _ = writeln!(
         out,
         "{:<10} {:>16} {:>16} {:>16}",
         "program", "Unopt-DC mem", "FTO-DC mem", "ST-DC mem"
     );
-    let run = |level: OptLevel, trace: &smarttrack_trace::Trace, prepare: bool| -> usize {
+    let run = |level: OptLevel, trace: &smarttrack_trace::Trace, hinted: bool| -> usize {
         let mut det = AnalysisConfig::new(Relation::Dc, level)
             .detector()
             .expect("valid");
-        if prepare {
-            det.prepare(trace);
+        if hinted {
+            det.begin_stream(StreamHint::of_trace(trace));
         }
         let stride = (trace.len() / 256).max(1);
         let mut peak = 0usize;
@@ -185,7 +186,7 @@ pub fn queue_compaction(cfg: &ExperimentConfig) -> String {
         );
     }
     out.push_str(
-        "\nValues are peak-metadata ratios (no-prepare / prepare); >1 means the\n\
+        "\nValues are peak-metadata ratios (without / with the bound); >1 means the\n\
          compaction enabled by announcing the thread set up front saves that\n\
          factor of rule (b) queue memory. On the calibrated workloads logs\n\
          stay short (ratios ≈1), which is itself a finding: compaction is a\n\

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use smarttrack::{AnalysisConfig, FtoCaseCounters, Report};
+use smarttrack::{AnalysisConfig, FtoCaseCounters, Report, StreamHint};
 use smarttrack_detect::run_detector;
 use smarttrack_trace::Trace;
 
@@ -53,7 +53,7 @@ pub fn measure_analysis(trace: &Trace, config: AnalysisConfig, baseline_nanos: u
     let mut det = config
         .detector()
         .unwrap_or_else(|| panic!("{config} is not available"));
-    det.prepare(trace);
+    det.begin_stream(StreamHint::of_trace(trace));
     let start = Instant::now();
     for (id, event) in trace.iter() {
         det.process(id, event);

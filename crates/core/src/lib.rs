@@ -75,9 +75,10 @@
 //!
 //! ## The Table 1 analysis matrix
 //!
-//! [`AnalysisConfig::table1`] enumerates all eleven evaluated analyses
-//! ({Unopt, FT2/FTO, SmartTrack} × {HB, WCP, DC, WDC} minus N/A cells, plus
-//! the graph-building Unopt variants used for vindication support), and
+//! [`AnalysisConfig::table1`] enumerates its fourteen runnable cells: the
+//! twelve analyses ({Unopt, FT2/FTO, SmartTrack} × {HB, WCP, DC, WDC} minus
+//! N/A cells) plus the two graph-building Unopt DC/WDC variants ("w/ G"),
+//! and
 //! [`EngineBuilder::table1`](smarttrack_detect::EngineBuilder::table1) fans
 //! the whole matrix out over a single pass.
 
@@ -98,7 +99,8 @@ pub mod trace {
     pub use smarttrack_trace::*;
 }
 
-/// The eleven analyses and their support types.
+/// The twelve Table 1 analyses, the SyncP and OSR extension rows, and
+/// their support types.
 pub mod detect {
     pub use smarttrack_detect::*;
 }

@@ -5,12 +5,15 @@
 //! `Pt` with the own entry taken from `Ht`, DC's `Ct` after rule (a)
 //! joins). So each body takes the row's ordering test as an argument and
 //! returns what it decided — the FTO case it took and the prior threads it
-//! found racing — and the row keeps only its checking clock, its rule
-//! (a)/(b) bookkeeping and its lock rules.
+//! found racing. The column around the body adds the rule (a) joins and
+//! the counting (see the `column` module); the row keeps only its checking
+//! clock, its rule (b) bookkeeping and its lock rules.
 //!
 //! * [`FtoVar`] — FastTrack-Ownership's `Wx` epoch and `Rx` read metadata:
 //!   the same-epoch checks and the eight other FTO cases (Algorithm 2),
 //!   shared by the FTO rows and the concurrent FTO-HB lane.
+//! * [`Ft2Var`] — FastTrack2's `Wx` epoch and adaptive `Rx` (the Epochs
+//!   column, HB only): the FTO metadata without the ownership cases.
 //! * [`UnoptVar`] — the vector-clock pair `Wx`/`Rx` of the Unopt rows
 //!   (Algorithm 1), with the §5.1 same-epoch-like checks.
 //! * [`StVar`](crate::StVar) — SmartTrack's Algorithm 3 (FTO plus CS
@@ -24,8 +27,11 @@
 
 use smarttrack_clock::{ClockValue, Epoch, ReadMeta, SameEpoch, ThreadId, VectorClock};
 
-use crate::counters::FtoCase;
+use crate::column::VarRule;
+use crate::counters::{FtoCase, FtoCaseCounters, PathCounters};
+use crate::lower::Access;
 use crate::report::AccessKind;
+use crate::OptLevel;
 
 /// The threads whose entries in `vc` are not ordered before the current
 /// access by the row's test `ordered` (the racing prior threads).
@@ -159,10 +165,124 @@ impl FtoVar {
     pub fn read_epoch(&self) -> Option<Epoch> {
         self.read.as_epoch()
     }
+}
 
-    /// Heap bytes beyond the struct itself (a shared `Rx`'s spill).
-    pub(crate) fn heap_bytes(&self) -> usize {
+impl VarRule for FtoVar {
+    const LEVEL: OptLevel = OptLevel::Fto;
+    type Counts = FtoCaseCounters;
+
+    fn fast_path(&self, a: &Access, local: ClockValue, counts: &mut FtoCaseCounters) -> bool {
+        let case = self.same_epoch(a.kind, Epoch::new(a.t, local));
+        case.map(|case| counts.hit(case)).is_some()
+    }
+
+    fn slow_path(
+        &mut self,
+        a: &Access,
+        local: ClockValue,
+        ordered: impl Fn(Epoch) -> bool,
+        counts: &mut FtoCaseCounters,
+    ) -> Vec<ThreadId> {
+        let (case, racing) = self.access(a.kind, Epoch::new(a.t, local), ordered);
+        counts.hit(case);
+        racing
+    }
+
+    /// A shared `Rx`'s spill.
+    fn heap_bytes(&self) -> usize {
         self.read.footprint_bytes()
+    }
+}
+
+/// FastTrack2's last-access metadata of one variable (the Epochs column):
+/// the `Wx` epoch and adaptive `Rx` of [`FtoVar`], with the same
+/// same-epoch checks, but without the ownership cases — and a write leaves
+/// `Rx` alone.
+#[derive(Clone, Debug, Default)]
+pub struct Ft2Var(FtoVar);
+
+impl Ft2Var {
+    /// See [`FtoVar::same_epoch`].
+    pub(crate) fn same_epoch(&self, kind: AccessKind, e: Epoch) -> Option<FtoCase> {
+        self.0.same_epoch(kind, e)
+    }
+
+    /// The last write `Wx`.
+    pub(crate) fn write_epoch(&self) -> Epoch {
+        self.0.write
+    }
+
+    /// An access at `e` that missed [`same_epoch`](Self::same_epoch): the
+    /// case taken and the racing prior threads, the last writer first.
+    /// `ordered` is the row's test, as for [`FtoVar::access`].
+    pub(crate) fn access(
+        &mut self,
+        kind: AccessKind,
+        e: Epoch,
+        ordered: impl Fn(Epoch) -> bool,
+    ) -> (FtoCase, Vec<ThreadId>) {
+        let FtoVar { write, read } = &mut self.0;
+        let ordered = |a: Epoch| a.is_none() || ordered(a);
+        let mut racing = Vec::new();
+        if !ordered(*write) {
+            racing.push(write.tid());
+        }
+        let case = match kind {
+            AccessKind::Read => match read {
+                ReadMeta::Epoch(r) if ordered(*r) => {
+                    *read = ReadMeta::Epoch(e);
+                    FtoCase::ReadExclusive
+                }
+                ReadMeta::Epoch(_) => {
+                    read.share(e);
+                    FtoCase::ReadShare
+                }
+                ReadMeta::Vc(vc) => {
+                    vc.set(e.tid(), e.clock());
+                    FtoCase::ReadShared
+                }
+            },
+            AccessKind::Write => {
+                let (case, readers) = match read {
+                    &mut ReadMeta::Epoch(r) if ordered(r) => (FtoCase::WriteExclusive, Vec::new()),
+                    &mut ReadMeta::Epoch(r) => (FtoCase::WriteExclusive, vec![r.tid()]),
+                    ReadMeta::Vc(vc) => (FtoCase::WriteShared, racing_threads(vc, ordered)),
+                };
+                for u in readers {
+                    if !racing.contains(&u) {
+                        racing.push(u);
+                    }
+                }
+                *write = e;
+                case
+            }
+        };
+        (case, racing)
+    }
+}
+
+impl VarRule for Ft2Var {
+    const LEVEL: OptLevel = OptLevel::Epochs;
+    type Counts = FtoCaseCounters;
+
+    fn fast_path(&self, a: &Access, local: ClockValue, counts: &mut FtoCaseCounters) -> bool {
+        self.0.fast_path(a, local, counts)
+    }
+
+    fn slow_path(
+        &mut self,
+        a: &Access,
+        local: ClockValue,
+        ordered: impl Fn(Epoch) -> bool,
+        counts: &mut FtoCaseCounters,
+    ) -> Vec<ThreadId> {
+        let (case, racing) = self.access(a.kind, Epoch::new(a.t, local), ordered);
+        counts.hit(case);
+        racing
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
     }
 }
 
@@ -171,7 +291,7 @@ impl FtoVar {
 /// check is a pointwise comparison costing `O(T)`, the cost FastTrack's
 /// epochs remove.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct UnoptVar {
+pub struct UnoptVar {
     write: VectorClock,
     read: VectorClock,
 }
@@ -214,22 +334,35 @@ impl UnoptVar {
         }
         racing
     }
+}
 
-    /// Exact bytes of a variable table: slot capacity plus the heap spill
-    /// of clocks wider than [`smarttrack_clock::INLINE_CLOCKS`].
-    #[allow(clippy::ptr_arg)]
-    pub(crate) fn table_bytes(vars: &Vec<UnoptVar>) -> usize {
-        Self::table_resident_bytes(vars)
-            + vars
-                .iter()
-                .map(|v| v.write.heap_bytes() + v.read.heap_bytes())
-                .sum::<usize>()
+impl VarRule for UnoptVar {
+    const LEVEL: OptLevel = OptLevel::Unopt;
+    type Counts = PathCounters;
+
+    fn fast_path(&self, a: &Access, local: ClockValue, counts: &mut PathCounters) -> bool {
+        let hit = self.same_epoch(a.kind, a.t, local);
+        if hit {
+            counts.fast += 1;
+        } else {
+            counts.slow += 1;
+        }
+        hit
     }
 
-    /// Cheap resident bytes of a variable table: O(1), capacity only.
-    #[allow(clippy::ptr_arg)]
-    pub(crate) fn table_resident_bytes(vars: &Vec<UnoptVar>) -> usize {
-        vars.capacity() * std::mem::size_of::<UnoptVar>()
+    fn slow_path(
+        &mut self,
+        a: &Access,
+        local: ClockValue,
+        ordered: impl Fn(Epoch) -> bool,
+        _counts: &mut PathCounters,
+    ) -> Vec<ThreadId> {
+        self.access(a.kind, a.t, local, ordered)
+    }
+
+    /// The spill of clocks wider than [`smarttrack_clock::INLINE_CLOCKS`].
+    fn heap_bytes(&self) -> usize {
+        self.write.heap_bytes() + self.read.heap_bytes()
     }
 }
 

@@ -193,8 +193,7 @@ impl From<smarttrack_trace::binary::StbHint> for StreamHint {
 /// stream, not only at its end. The lifecycle is
 /// [`begin_stream`](Detector::begin_stream) → [`process`](Detector::process)
 /// per event → [`finish_stream`](Detector::finish_stream); whole-trace
-/// drivers may use [`prepare`](Detector::prepare), which defaults to
-/// `begin_stream` with a full-knowledge [`StreamHint`].
+/// drivers begin with the full-knowledge hint [`StreamHint::of_trace`].
 pub trait Detector {
     /// Short name matching the paper's tables (e.g. `"SmartTrack-DC"`).
     fn name(&self) -> &'static str;
@@ -209,13 +208,6 @@ pub trait Detector {
     /// (all advisory; see [`StreamHint`]). Optional.
     fn begin_stream(&mut self, hint: StreamHint) {
         let _ = hint;
-    }
-
-    /// Announces trace-level facts before whole-trace processing. The
-    /// default forwards to [`begin_stream`](Detector::begin_stream) with
-    /// [`StreamHint::of_trace`]; override that method instead.
-    fn prepare(&mut self, trace: &Trace) {
-        self.begin_stream(StreamHint::of_trace(trace));
     }
 
     /// Processes one event. `id` must be the event's index in the stream.
@@ -261,9 +253,10 @@ pub trait Detector {
 
     /// Fast-path/slow-path hit counts plus resident state bytes — the
     /// hot-path accounting every detector reports. The default derives the
-    /// split from [`case_counters`](Detector::case_counters) (detectors
-    /// without counters — the Unopt variants — override this to report
-    /// every access as slow).
+    /// split from [`case_counters`](Detector::case_counters). The Unopt
+    /// variants, which keep no FTO case counters, override it to report
+    /// their §5.1 same-epoch-like hits as fast and every other access as
+    /// slow.
     fn hot_path_stats(&self) -> HotPathStats {
         let (fast_hits, slow_hits) = match self.case_counters() {
             Some(c) => (c.fast_hits(), c.slow_hits()),
@@ -300,10 +293,6 @@ impl<D: Detector + ?Sized> Detector for &mut D {
 
     fn begin_stream(&mut self, hint: StreamHint) {
         (**self).begin_stream(hint);
-    }
-
-    fn prepare(&mut self, trace: &Trace) {
-        (**self).prepare(trace);
     }
 
     fn process(&mut self, id: EventId, event: &Event) {
@@ -475,7 +464,7 @@ impl FootprintSampler {
 /// assert!(summary.peak_footprint_bytes > 0);
 /// ```
 pub fn run_detector<D: Detector + ?Sized>(detector: &mut D, trace: &Trace) -> RunSummary {
-    detector.prepare(trace);
+    detector.begin_stream(StreamHint::of_trace(trace));
     let mut sampler = FootprintSampler::for_len(trace.len());
     for (id, event) in trace.iter() {
         detector.process(id, event);

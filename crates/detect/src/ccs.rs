@@ -1,7 +1,7 @@
 //! SmartTrack's conflicting-critical-section (CCS) machinery: critical-
 //! section lists, the `MultiCheck` combined CCS-and-race check, the
 //! "extra" fall-back metadata (paper §4.2), and Algorithm 3's per-variable
-//! access rules built on them ([`StVar`]). The SmartTrack rows keep their
+//! access rules built on them ([`StVar`]). The SmartTrack column keeps its
 //! `Ht` stacks and variables in a [`CcsState`]; the concurrent
 //! SmartTrack-WDC lane runs the same [`StVar`] bodies behind a
 //! per-variable mutex, over the thread-safe [`ArcCells`] family.
@@ -14,14 +14,18 @@ use std::ops::Deref;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use smarttrack_clock::{Epoch, ReadMeta, ThreadId, VectorClock};
-use smarttrack_trace::{EventId, Loc, LockId, VarId};
+use smarttrack_clock::{ClockValue, Epoch, ReadMeta, ThreadId, VectorClock};
+use smarttrack_trace::{EventId, LockId};
 
 use crate::access::FtoVar;
+use crate::column::{Column, Sections, VarRule};
 use crate::common::slot;
 use crate::counters::{FtoCase, FtoCaseCounters};
-use crate::lower::LockMode;
+use crate::graph::GraphRecorder;
+use crate::lower::{Access, LockMode};
+use crate::queues::AcqEntry;
 use crate::report::{AccessKind, Report};
+use crate::{OptLevel, StreamHint};
 
 /// How CS lists share their entry vectors and the deferred release times
 /// of their critical sections (Algorithm 3 lines 3–5 and 13–15). A release
@@ -785,80 +789,65 @@ fn release_cell_bytes(cell: &Rc<OnceCell<VectorClock>>, seen: &mut PtrSet) -> us
     }
 }
 
-/// The SmartTrack rows' state beyond their clocks: per-thread `Ht` stacks,
-/// per-variable [`StVar`] metadata, the report and the FTO case counters —
-/// shared by SmartTrack-WCP and SmartTrack-DC/WDC. The rows differ only in
-/// the clock the checks run against (WCP's `Pt`, DC's `Ct`) and in the
-/// epoch-ordering check, which both come in as arguments.
-#[derive(Clone, Debug)]
-pub(crate) struct CcsState {
+/// The SmartTrack column (Algorithm 3): per-thread `Ht` stacks,
+/// per-variable [`StVar`] metadata, the report and the FTO case counters.
+/// Its rule (a) is part of the access rule (`MultiCheck` over the CS lists),
+/// so it serves only the predictive rows.
+#[derive(Clone, Debug, Default)]
+pub struct CcsState {
     ht: Vec<HeldSections>,
     vars: Vec<StVar>,
     fidelity: CcsFidelity,
-    pub(crate) report: Report,
-    pub(crate) counters: FtoCaseCounters,
+    report: Report,
+    counters: FtoCaseCounters,
 }
 
 impl CcsState {
-    pub fn new(fidelity: CcsFidelity) -> Self {
+    /// Empty state in the given fidelity mode.
+    pub(crate) fn new(fidelity: CcsFidelity) -> Self {
         CcsState {
-            ht: Vec::new(),
-            vars: Vec::new(),
             fidelity,
-            report: Report::new(),
-            counters: FtoCaseCounters::new(),
+            ..CcsState::default()
         }
     }
+}
 
-    /// `acq(m)` by `t` (see [`HeldSections::acquire`]).
-    pub fn acquire(&mut self, t: ThreadId, m: LockId, mode: LockMode) {
-        slot(&mut self.ht, t.index()).acquire(m, mode);
-    }
+impl Column for CcsState {
+    const LEVEL: OptLevel = OptLevel::SmartTrack;
+    type Counts = FtoCaseCounters;
 
-    /// `rel(m)` by `t` (see [`HeldSections::release`]).
-    pub fn release(&mut self, t: ThreadId, m: LockId) -> Option<CsEntry> {
-        slot(&mut self.ht, t.index()).release(m)
-    }
-
-    /// `rd(x)` or `wr(x)` by `t` at epoch `e`. `clock` is the row's
-    /// checking clock, which absorbs the rule (a) joins; `check` is its
-    /// epoch-ordering test.
-    #[allow(clippy::too_many_arguments)]
-    pub fn access(
+    fn access<'c, const RULE_A: bool>(
         &mut self,
-        id: EventId,
-        t: ThreadId,
-        x: VarId,
-        loc: Loc,
-        kind: AccessKind,
-        e: Epoch,
-        clock: &mut VectorClock,
+        a: Access,
+        local: ClockValue,
+        clock: impl FnOnce() -> &'c mut VectorClock,
         check: impl Fn(Epoch, &VectorClock) -> bool + Copy,
+        _recorder: Option<&mut GraphRecorder>,
     ) {
-        let var = slot(&mut self.vars, x.index());
-        if let Some(case) = var.fto.same_epoch(kind, e) {
+        let e = Epoch::new(a.t, local);
+        let var = slot(&mut self.vars, a.x.index());
+        if let Some(case) = var.fto.same_epoch(a.kind, e) {
             self.counters.hit(case);
             return;
         }
-        let held = slot(&mut self.ht, t.index());
-        let (case, racing) = var.access(kind, e, held, clock, check, self.fidelity);
+        let held = slot(&mut self.ht, a.t.index());
+        let (case, racing) = var.access(a.kind, e, held, clock(), check, self.fidelity);
         self.counters.hit(case);
-        self.report.record(id, loc, t, x, kind, racing);
+        self.report.record(a.id, a.loc, a.t, a.x, a.kind, racing);
     }
 
-    /// Pre-sizes the per-thread and per-variable tables.
-    pub fn reserve(&mut self, hint: &crate::StreamHint) {
-        use crate::StreamHint;
-        self.vars
-            .reserve(StreamHint::presize(hint.vars, self.vars.len()));
-        self.ht
-            .reserve(StreamHint::presize(hint.threads, self.ht.len()));
+    fn report(&self) -> &Report {
+        &self.report
+    }
+
+    fn counts(&self) -> &FtoCaseCounters {
+        &self.counters
     }
 
     /// Exact heap bytes, report included: walks the `Ht` stacks and every
     /// variable's CS lists and extras, counting each `Rc`-shared structure
     /// once.
-    pub fn footprint_bytes(&self) -> usize {
+    fn footprint_bytes(&self) -> usize {
         let mut seen = PtrSet::default();
         let mut bytes = self.report.footprint_bytes();
         bytes += self.ht.capacity() * std::mem::size_of::<HeldSections>();
@@ -911,7 +900,7 @@ impl CcsState {
     /// Cheap running estimate, report included: table capacities only. The
     /// Rc-shared CS lists hanging off the variables are deduplicated by the
     /// exact [`footprint_bytes`](Self::footprint_bytes) walk at stream end.
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         self.report.footprint_bytes()
             + self.ht.capacity() * std::mem::size_of::<HeldSections>()
             + self
@@ -920,6 +909,49 @@ impl CcsState {
                 .map(|h| h.stack.capacity() * std::mem::size_of::<CsEntry>())
                 .sum::<usize>()
             + self.vars.capacity() * std::mem::size_of::<StVar>()
+    }
+
+    fn reserve(&mut self, hint: &StreamHint) {
+        self.vars
+            .reserve(StreamHint::presize(hint.vars, self.vars.len()));
+    }
+}
+
+impl Sections for CcsState {
+    /// The ended section's entry, whose deferred release time `close`
+    /// resolves (Algorithm 3 lines 13–15).
+    type Ended = Option<CsEntry>;
+
+    fn acq_entry(t: ThreadId, clock: &VectorClock) -> AcqEntry {
+        AcqEntry::Epoch(clock.get(t))
+    }
+
+    fn acquire(&mut self, t: ThreadId, m: LockId, mode: LockMode) {
+        slot(&mut self.ht, t.index()).acquire(m, mode);
+    }
+
+    fn release(&mut self, t: ThreadId, m: LockId) -> (LockMode, Option<CsEntry>) {
+        let entry = slot(&mut self.ht, t.index()).release(m);
+        let write = entry.as_ref().is_none_or(|e| e.write);
+        (LockMode::of_write(write), entry)
+    }
+
+    fn close(
+        &mut self,
+        _t: ThreadId,
+        _m: LockId,
+        ended: Option<CsEntry>,
+        clock: &VectorClock,
+        _id: EventId,
+    ) {
+        if let Some(entry) = ended {
+            entry.resolve(clock.clone());
+        }
+    }
+
+    fn reserve_sections(&mut self, hint: &StreamHint) {
+        self.ht
+            .reserve(StreamHint::presize(hint.threads, self.ht.len()));
     }
 }
 

@@ -717,12 +717,15 @@ impl CsTables {
 /// enters until every party of the round has exited (see
 /// `StreamValidator`), and when a detector is driven with raw unvalidated
 /// events an out-of-protocol enter simply starts a fresh round.
+///
+/// Graph mode gathers the rounds' enter events instead of their clocks
+/// (`T = Vec<EventId>`), so its edges follow the same rounds.
 #[derive(Clone, Debug, Default)]
-pub struct BarrierRendezvous {
-    /// Join of the enter-time clocks of the round currently gathering.
-    gather: VectorClock,
-    /// The sealed clock of the round currently draining.
-    open: VectorClock,
+pub struct BarrierRendezvous<T = VectorClock> {
+    /// What the round currently gathering collected from its enters.
+    gather: T,
+    /// The sealed gather of the round currently draining.
+    open: T,
     /// Parties that entered the gathering round.
     entered: u32,
     /// Parties of the draining round that have exited (0 = gathering).
@@ -732,19 +735,31 @@ pub struct BarrierRendezvous {
 impl BarrierRendezvous {
     /// Records an enter by a thread whose clock is `now`.
     pub fn enter(&mut self, now: &VectorClock) {
+        self.enter_with(|gather| gather.join(now));
+    }
+
+    /// Exact heap bytes of the two clocks.
+    pub fn heap_bytes(&self) -> usize {
+        self.gather.heap_bytes() + self.open.heap_bytes()
+    }
+}
+
+impl<T: Default> BarrierRendezvous<T> {
+    /// Records an enter, which `add` folds into the gathering round.
+    pub fn enter_with(&mut self, add: impl FnOnce(&mut T)) {
         if self.exited > 0 {
             // Out-of-protocol enter while draining (impossible on validated
             // streams): be benign and start a fresh round.
             self.entered = 0;
             self.exited = 0;
         }
-        self.gather.join(now);
+        add(&mut self.gather);
         self.entered += 1;
     }
 
-    /// Records an exit and returns the sealed rendezvous clock the leaving
-    /// thread must join.
-    pub fn exit(&mut self) -> &VectorClock {
+    /// Records an exit and returns the sealed rendezvous gather (the clock
+    /// the leaving thread must join).
+    pub fn exit(&mut self) -> &T {
         if self.exited == 0 {
             // First exit seals the round.
             self.open = std::mem::take(&mut self.gather);
@@ -756,11 +771,6 @@ impl BarrierRendezvous {
             self.exited = 0;
         }
         &self.open
-    }
-
-    /// Exact heap bytes of the two clocks.
-    pub fn heap_bytes(&self) -> usize {
-        self.gather.heap_bytes() + self.open.heap_bytes()
     }
 }
 

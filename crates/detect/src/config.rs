@@ -56,7 +56,7 @@ impl AnalysisConfig {
         make_detector(self.relation, self.level, self.graph)
     }
 
-    /// All eleven valid analyses plus the two "w/ G" variants, in the
+    /// The twelve analyses of Table 1 plus the two "w/ G" variants, in the
     /// paper's Table 1 order.
     pub fn table1() -> Vec<AnalysisConfig> {
         crate::table1_configs()

@@ -180,8 +180,8 @@ impl FtoCaseCounters {
 ///
 /// *Fast* hits are accesses fully handled by a same-epoch check (no vector
 /// clock touched); *slow* hits are every other access. Synchronization
-/// operations are counted in neither. Detectors without a fast path
-/// (the Unopt variants) report every access as slow.
+/// operations are counted in neither. The Unopt variants, which keep no FTO
+/// case counters, count their §5.1 same-epoch-like hits as fast.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Accesses handled entirely by an epoch fast path.
@@ -194,6 +194,15 @@ pub struct HotPathStats {
 }
 
 impl HotPathStats {
+    /// The split of `hits`, beside `state_bytes`.
+    pub(crate) fn of(hits: PathCounters, state_bytes: usize) -> Self {
+        HotPathStats {
+            fast_hits: hits.fast,
+            slow_hits: hits.slow,
+            state_bytes,
+        }
+    }
+
     /// Fraction of accesses taking the fast path (0 when no accesses ran).
     pub fn fast_fraction(&self) -> f64 {
         let total = self.fast_hits + self.slow_hits;
@@ -205,12 +214,14 @@ impl HotPathStats {
     }
 }
 
-/// Plain fast/slow hit counters for detectors that do not track the full
-/// FTO case vector (the Unopt variants, whose only fast path is the §5.1
-/// same-epoch-like check).
+/// Plain fast/slow hit counters: what detectors that do not track the full
+/// FTO case vector keep (the Unopt variants, whose only fast path is the
+/// §5.1 same-epoch-like check), and the split every column reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct PathCounters {
+pub struct PathCounters {
+    /// Accesses a same-epoch check handled.
     pub fast: u64,
+    /// Every other access.
     pub slow: u64,
 }
 

@@ -6,21 +6,15 @@
 //! metadata (`Ewx`, `Erx`) for critical sections the CS lists can no longer
 //! represent. Rule (b) acquire queues shrink from vector clocks to epochs.
 
-use smarttrack_clock::{Epoch, ThreadId, VectorClock};
-use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
+use crate::ccs::CcsState;
+use crate::dc::DcRow;
 
-use crate::ccs::{CcsFidelity, CcsState};
-use crate::counters::FtoCaseCounters;
-use crate::dc::{DcClocks, DcThreads};
-use crate::edges::HardEdges;
-use crate::lower::{lower, ClockRow, LockMode};
-use crate::queues::{AcqEntry, DcRuleBQueues};
-use crate::report::{AccessKind, Report};
-use crate::{Detector, OptLevel, Relation};
-
-/// SmartTrack-DC analysis (`RULE_B = true`) or SmartTrack-WDC
-/// (`RULE_B = false`), following paper Algorithm 3. Use the [`SmartTrackDc`]
-/// / [`SmartTrackWdc`] aliases.
+/// SmartTrack-DC analysis (paper Algorithm 3), in
+/// [`CcsFidelity::Strict`](crate::CcsFidelity::Strict) mode unless built
+/// with `with_fidelity`.
+pub type SmartTrackDc = DcRow<CcsState, true>;
+/// SmartTrack-WDC analysis (Algorithm 3 minus rule (b): remove its lines 2
+/// and 8–12).
 ///
 /// # Examples
 ///
@@ -32,152 +26,14 @@ use crate::{Detector, OptLevel, Relation};
 /// run_detector(&mut det, &paper::figure3());
 /// assert_eq!(det.report().dynamic_count(), 1, "figure 3 is a WDC-race");
 /// ```
-#[derive(Clone, Debug)]
-pub struct SmartTrackDcLike<const RULE_B: bool> {
-    clocks: DcClocks,
-    ccs: CcsState,
-    queues: DcRuleBQueues,
-}
-
-/// SmartTrack-DC analysis (paper Algorithm 3).
-pub type SmartTrackDc = SmartTrackDcLike<true>;
-/// SmartTrack-WDC analysis (Algorithm 3 minus rule (b): remove its lines 2
-/// and 8–12).
-pub type SmartTrackWdc = SmartTrackDcLike<false>;
-
-impl<const RULE_B: bool> Default for SmartTrackDcLike<RULE_B> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const RULE_B: bool> SmartTrackDcLike<RULE_B> {
-    /// Creates the analysis in [`CcsFidelity::Strict`] mode.
-    pub fn new() -> Self {
-        Self::with_fidelity(CcsFidelity::Strict)
-    }
-
-    /// Creates the analysis with an explicit CCS fidelity mode.
-    pub fn with_fidelity(fidelity: CcsFidelity) -> Self {
-        SmartTrackDcLike {
-            clocks: DcClocks::default(),
-            ccs: CcsState::new(fidelity),
-            queues: DcRuleBQueues::new(),
-        }
-    }
-
-    /// Diagnostic view of the current clock of `t` (for tests).
-    pub fn thread_clock(&self, t: ThreadId) -> &VectorClock {
-        self.clocks.clock_ref(t)
-    }
-}
-
-/// DC's ordering check: the plain epoch-before-clock test.
-fn dc_epoch_check(e: Epoch, vc: &VectorClock) -> bool {
-    e.leq_vc(vc)
-}
-
-impl<const RULE_B: bool> ClockRow for SmartTrackDcLike<RULE_B> {
-    type Clocks = DcThreads;
-
-    fn edges(&mut self) -> &mut HardEdges<DcThreads> {
-        &mut self.clocks
-    }
-
-    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
-        let e = Epoch::new(t, self.clocks.local(t));
-        let clock = self.clocks.clock(t);
-        self.ccs
-            .access(id, t, x, loc, kind, e, clock, dc_epoch_check);
-    }
-
-    fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
-        if RULE_B {
-            let local = self.clocks.clock(t).get(t);
-            let write = mode == LockMode::Exclusive;
-            self.queues.on_acquire(m, t, &AcqEntry::Epoch(local), write);
-        }
-        self.ccs.acquire(t, m, mode);
-        self.clocks.tick(t);
-    }
-
-    fn release(&mut self, id: EventId, t: ThreadId, m: LockId) {
-        // The innermost section's mode gates the rule (b) consumption.
-        let entry = self.ccs.release(t, m);
-        let write_mode = entry.as_ref().is_none_or(|e| e.write);
-        let mut now = self.clocks.clock(t).clone();
-        if RULE_B {
-            self.queues
-                .on_release(m, t, &mut now, id, write_mode, |_| {});
-        }
-        // Resolve the deferred release time (Algorithm 3 lines 13–15).
-        if let Some(entry) = entry {
-            entry.resolve(now.clone());
-        }
-        self.clocks.clock(t).assign(&now);
-        self.clocks.tick(t);
-    }
-}
-
-impl<const RULE_B: bool> Detector for SmartTrackDcLike<RULE_B> {
-    fn name(&self) -> &'static str {
-        if RULE_B {
-            "SmartTrack-DC"
-        } else {
-            "SmartTrack-WDC"
-        }
-    }
-
-    fn relation(&self) -> Relation {
-        if RULE_B {
-            Relation::Dc
-        } else {
-            Relation::Wdc
-        }
-    }
-
-    fn opt_level(&self) -> OptLevel {
-        OptLevel::SmartTrack
-    }
-
-    fn begin_stream(&mut self, hint: crate::StreamHint) {
-        if RULE_B {
-            if let Some(threads) = hint.threads {
-                self.queues.set_thread_bound(threads);
-            }
-        }
-        self.clocks.reserve(&hint);
-        self.ccs.reserve(&hint);
-    }
-
-    fn process(&mut self, id: EventId, event: &Event) {
-        lower(self, id, event.tid, event.op, event.loc);
-    }
-
-    fn report(&self) -> &Report {
-        &self.ccs.report
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.clocks.footprint_bytes() + self.queues.footprint_bytes() + self.ccs.footprint_bytes()
-    }
-
-    fn state_bytes(&self) -> usize {
-        // Cheap running estimate: table capacities only (see
-        // `CcsState::resident_bytes`).
-        self.clocks.resident_bytes() + self.queues.resident_bytes() + self.ccs.resident_bytes()
-    }
-
-    fn case_counters(&self) -> Option<&FtoCaseCounters> {
-        Some(&self.ccs.counters)
-    }
-}
+pub type SmartTrackWdc = DcRow<CcsState, false>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_detector, FtoCase, FtoDc, FtoWdc, UnoptDc};
-    use smarttrack_trace::{gen::RandomTraceSpec, paper, Trace};
+    use crate::{run_detector, CcsFidelity, Detector, FtoCase, FtoDc, FtoWdc, UnoptDc};
+    use smarttrack_clock::ThreadId;
+    use smarttrack_trace::{gen::RandomTraceSpec, paper, EventId, Trace};
 
     fn first_race<D: Detector>(mut det: D, tr: &Trace) -> Option<EventId> {
         run_detector(&mut det, tr);
@@ -328,8 +184,9 @@ mod tests {
 #[cfg(test)]
 mod fidelity_corner_tests {
     use super::*;
-    use crate::{run_detector, FtoWdc};
-    use smarttrack_trace::{Op, TraceBuilder};
+    use crate::{run_detector, CcsFidelity, Detector, FtoWdc};
+    use smarttrack_clock::ThreadId;
+    use smarttrack_trace::{LockId, Op, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)

@@ -186,28 +186,13 @@ impl EngineBuilder {
         self.fanout(AnalysisConfig::table1())
     }
 
-    /// Declares an upper bound on the number of threads sessions will see,
-    /// enabling streaming-mode optimizations that otherwise need a whole
-    /// trace up front (sound compaction of DC rule (b) queues).
-    pub fn expect_threads(mut self, threads: usize) -> Self {
-        self.hint.threads = Some(threads);
-        self
-    }
-
-    /// Declares the total number of events sessions will see, upgrading
-    /// footprint sampling from the adaptive policy to the cheaper
-    /// fixed-stride one (see `FootprintSampler`).
-    pub fn expect_events(mut self, events: usize) -> Self {
-        self.hint.events = Some(events);
-        self
-    }
-
-    /// Installs a whole [`StreamHint`] at once — the natural call when the
-    /// hint arrives pre-assembled, e.g. decoded from an STB binary trace
-    /// header ([`StreamHint::of_stb_header`]). Fields already set by
-    /// [`expect_threads`](EngineBuilder::expect_threads) /
-    /// [`expect_events`](EngineBuilder::expect_events) are kept when the
-    /// incoming hint leaves them `None`.
+    /// Installs the [`StreamHint`] sessions start from, e.g. one decoded
+    /// from an STB binary trace header ([`StreamHint::of_stb_header`]). A
+    /// known thread bound enables sound compaction of DC rule (b) queues; a
+    /// known event count upgrades footprint sampling from the adaptive
+    /// policy to the cheaper fixed-stride one (see `FootprintSampler`).
+    /// Fields set by an earlier call are kept when the incoming hint leaves
+    /// them `None`.
     pub fn hint(mut self, hint: StreamHint) -> Self {
         self.hint = hint.or(self.hint);
         self

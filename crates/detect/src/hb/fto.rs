@@ -2,17 +2,8 @@
 //! HB baseline, and the structural template for the FTO-based predictive
 //! analyses (Algorithm 2 without the DC-specific parts).
 
-use smarttrack_clock::{Epoch, ThreadId, VectorClock};
-use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
-
-use crate::access::FtoVar;
-use crate::common::slot;
-use crate::counters::FtoCaseCounters;
-use crate::edges::HardEdges;
-use crate::hb::{HbClocks, HbSyncState};
-use crate::lower::{lower, ClockRow, LockMode};
-use crate::report::{AccessKind, Report};
-use crate::{Detector, OptLevel, Relation};
+use crate::column::FtoColumn;
+use crate::hb::HbRow;
 
 /// FTO-HB analysis (`FTO` in the paper's HB columns).
 ///
@@ -31,105 +22,14 @@ use crate::{Detector, OptLevel, Relation};
 /// run_detector(&mut det, &paper::figure2());
 /// assert!(det.report().is_empty(), "Figure 2 has no HB-race");
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct FtoHb {
-    sync: HbSyncState,
-    vars: Vec<FtoVar>,
-    report: Report,
-    counters: FtoCaseCounters,
-}
-
-impl FtoHb {
-    /// Creates the analysis with empty state.
-    pub fn new() -> Self {
-        FtoHb::default()
-    }
-
-    /// Diagnostic view of the current HB clock of `t` (for tests).
-    pub fn thread_clock(&self, t: ThreadId) -> &VectorClock {
-        self.sync.clock_ref(t)
-    }
-}
-
-impl ClockRow for FtoHb {
-    type Clocks = HbClocks;
-
-    fn edges(&mut self) -> &mut HardEdges<HbClocks> {
-        &mut self.sync.edges
-    }
-
-    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
-        let e = Epoch::new(t, self.sync.local(t));
-        let var = slot(&mut self.vars, x.index());
-        if let Some(case) = var.same_epoch(kind, e) {
-            self.counters.hit(case);
-            return;
-        }
-        let now = self.sync.clock_ref(t);
-        let (case, racing) = var.access(kind, e, |a| a.leq_vc(now));
-        self.counters.hit(case);
-        self.report.record(id, loc, t, x, kind, racing);
-    }
-
-    fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
-        self.sync.acquire(t, m, mode);
-    }
-
-    fn release(&mut self, _id: EventId, t: ThreadId, m: LockId) {
-        self.sync.release(t, m);
-    }
-}
-
-impl Detector for FtoHb {
-    fn name(&self) -> &'static str {
-        "FTO-HB"
-    }
-
-    fn relation(&self) -> Relation {
-        Relation::Hb
-    }
-
-    fn opt_level(&self) -> OptLevel {
-        OptLevel::Fto
-    }
-
-    fn begin_stream(&mut self, hint: crate::StreamHint) {
-        self.sync.reserve(&hint);
-        self.vars
-            .reserve(crate::StreamHint::presize(hint.vars, self.vars.len()));
-    }
-
-    fn process(&mut self, id: EventId, event: &Event) {
-        lower(self, id, event.tid, event.op, event.loc);
-    }
-
-    fn report(&self) -> &Report {
-        &self.report
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.sync.footprint_bytes()
-            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
-            + self.vars.iter().map(FtoVar::heap_bytes).sum::<usize>()
-            + self.report.footprint_bytes()
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.sync.resident_bytes()
-            + self.vars.capacity() * std::mem::size_of::<FtoVar>()
-            + self.report.footprint_bytes()
-    }
-
-    fn case_counters(&self) -> Option<&FtoCaseCounters> {
-        Some(&self.counters)
-    }
-}
+pub type FtoHb = HbRow<FtoColumn>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_detector, FtoCase};
-    use smarttrack_trace::{LockId, Op, TraceBuilder};
+    use crate::{run_detector, Detector, FtoCase, FtoCaseCounters, Report};
+    use smarttrack_clock::ThreadId;
+    use smarttrack_trace::{LockId, Op, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)
@@ -144,7 +44,8 @@ mod tests {
     fn run(b: TraceBuilder) -> (Report, FtoCaseCounters) {
         let mut det = FtoHb::new();
         run_detector(&mut det, &b.finish());
-        (det.report().clone(), det.counters.clone())
+        let counters = det.case_counters().expect("FTO counts its cases");
+        (det.report().clone(), counters.clone())
     }
 
     #[test]

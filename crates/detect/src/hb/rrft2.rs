@@ -12,13 +12,15 @@
 //! [`RoadRunnerFt2`] reproduces those behaviors so the count difference can
 //! be demonstrated (see its tests), explaining the paper's Table 7 footnote.
 
-use smarttrack_clock::{Epoch, ReadMeta, ThreadId};
-use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
+use smarttrack_clock::{Epoch, ThreadId};
+use smarttrack_trace::{Event, EventId, LockId};
 
+use crate::access::Ft2Var;
+use crate::column::VarRule;
 use crate::common::slot;
 use crate::edges::HardEdges;
 use crate::hb::{HbClocks, HbSyncState};
-use crate::lower::{lower, ClockRow, LockMode};
+use crate::lower::{lower, Access, ClockRow, LockMode};
 use crate::report::{AccessKind, Report};
 use crate::{Detector, OptLevel, Relation};
 
@@ -27,8 +29,7 @@ const RACE_LIMIT_PER_VAR: u32 = 100;
 
 #[derive(Clone, Debug, Default)]
 struct VarState {
-    write: Epoch,
-    read: ReadMeta,
+    var: Ft2Var,
     races: u32,
     dead: bool,
 }
@@ -72,85 +73,14 @@ impl RoadRunnerFt2 {
         RoadRunnerFt2::default()
     }
 
-    fn record(
-        &mut self,
-        id: EventId,
-        loc: Loc,
-        t: ThreadId,
-        x: VarId,
-        kind: AccessKind,
-        prior: Vec<ThreadId>,
-    ) {
-        let vs = &mut self.vars[x.index()];
+    fn record(&mut self, a: Access, prior: Vec<ThreadId>) {
+        let vs = &mut self.vars[a.x.index()];
         vs.races += 1;
         // RoadRunner stops analyzing the variable after a detected race...
         vs.dead = true;
         // ...and would cap the *count* at 100 dynamic races per field.
         if vs.races <= RACE_LIMIT_PER_VAR {
-            self.report.record(id, loc, t, x, kind, prior);
-        }
-    }
-
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.sync.local(t));
-        let vs = slot(&mut self.vars, x.index());
-        if vs.dead {
-            return;
-        }
-        match &vs.read {
-            ReadMeta::Epoch(r) if *r == e => return,
-            ReadMeta::Vc(vc) if vc.get(t) == e.clock() => return,
-            _ => {}
-        }
-        let now = self.sync.clock_ref(t);
-        if !vs.write.leq_vc(now) {
-            // Race: report, but (unlike the paper's FT2) do NOT update the
-            // read metadata and kill the variable.
-            let prior = vec![vs.write.tid()];
-            self.record(id, loc, t, x, AccessKind::Read, prior);
-            return;
-        }
-        match &mut vs.read {
-            ReadMeta::Epoch(r) => {
-                if r.leq_vc(now) {
-                    vs.read = ReadMeta::Epoch(e);
-                } else {
-                    vs.read.share(e);
-                }
-            }
-            ReadMeta::Vc(vc) => vc.set(t, e.clock()),
-        }
-    }
-
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        let e = Epoch::new(t, self.sync.local(t));
-        let vs = slot(&mut self.vars, x.index());
-        if vs.dead || vs.write == e {
-            return;
-        }
-        let now = self.sync.clock_ref(t);
-        let mut prior = Vec::new();
-        if !vs.write.leq_vc(now) {
-            prior.push(vs.write.tid());
-        }
-        match &vs.read {
-            ReadMeta::Epoch(r) => {
-                if !r.leq_vc(now) && !prior.contains(&r.tid()) {
-                    prior.push(r.tid());
-                }
-            }
-            ReadMeta::Vc(vc) => {
-                for (u, c) in vc.iter_nonzero() {
-                    if c > now.get(u) && !prior.contains(&u) {
-                        prior.push(u);
-                    }
-                }
-            }
-        }
-        if prior.is_empty() {
-            vs.write = e;
-        } else {
-            self.record(id, loc, t, x, AccessKind::Write, prior);
+            self.report.record(a.id, a.loc, a.t, a.x, a.kind, prior);
         }
     }
 }
@@ -162,10 +92,23 @@ impl ClockRow for RoadRunnerFt2 {
         &mut self.sync.edges
     }
 
-    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
-        match kind {
-            AccessKind::Read => self.read(id, t, x, loc),
-            AccessKind::Write => self.write(id, t, x, loc),
+    fn access(&mut self, a: Access) {
+        let e = Epoch::new(a.t, self.sync.edges.local(a.t));
+        let vs = slot(&mut self.vars, a.x.index());
+        if vs.dead || vs.var.same_epoch(a.kind, e).is_some() {
+            return;
+        }
+        let now = self.sync.edges.clock_ref(a.t);
+        let last_write = vs.var.write_epoch();
+        let prior = if a.kind == AccessKind::Read && !last_write.leq_vc(now) {
+            // Unlike the paper's FT2, a racing read leaves the read
+            // metadata alone (the variable dies anyway).
+            vec![last_write.tid()]
+        } else {
+            vs.var.access(a.kind, e, |e| e.leq_vc(now)).1
+        };
+        if !prior.is_empty() {
+            self.record(a, prior);
         }
     }
 
@@ -204,7 +147,7 @@ impl Detector for RoadRunnerFt2 {
             + self
                 .vars
                 .iter()
-                .map(|v| v.read.footprint_bytes() + std::mem::size_of::<VarState>())
+                .map(|v| v.var.heap_bytes() + std::mem::size_of::<VarState>())
                 .sum::<usize>()
             + self.report.footprint_bytes()
     }
@@ -214,7 +157,7 @@ impl Detector for RoadRunnerFt2 {
 mod tests {
     use super::*;
     use crate::{run_detector, Ft2};
-    use smarttrack_trace::{Op, Trace, TraceBuilder};
+    use smarttrack_trace::{Op, Trace, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)

@@ -1,6 +1,6 @@
 //! Synchronization-clock state shared by all HB analyses.
 
-use smarttrack_clock::{ThreadId, VectorClock};
+use smarttrack_clock::ThreadId;
 use smarttrack_trace::LockId;
 
 use crate::common::slot;
@@ -24,16 +24,6 @@ pub(crate) struct HbSyncState {
 }
 
 impl HbSyncState {
-    /// Read-only view of `Ct` (must have been initialized).
-    pub fn clock_ref(&self, t: ThreadId) -> &VectorClock {
-        self.edges.clock_ref(t)
-    }
-
-    /// `Ct(t)` — the local clock component, initializing on first use.
-    pub fn local(&mut self, t: ThreadId) -> u32 {
-        self.edges.local(t)
-    }
-
     /// `acq(m)`: `Ct ← Ct ⊔ Lm`, and `⊔ LRm` for an exclusive hold (see
     /// [`LockClocks::acquire`]).
     pub fn acquire(&mut self, t: ThreadId, m: LockId, mode: LockMode) {

@@ -1,16 +1,7 @@
 //! Unoptimized (vector-clock) happens-before analysis, DJIT+-style.
 
-use smarttrack_clock::ThreadId;
-use smarttrack_trace::{Event, EventId, Loc, LockId, VarId};
-
-use crate::access::UnoptVar;
-use crate::common::slot;
-use crate::counters::PathCounters;
-use crate::edges::HardEdges;
-use crate::hb::{HbClocks, HbSyncState};
-use crate::lower::{lower, ClockRow, LockMode};
-use crate::report::{AccessKind, Report};
-use crate::{Detector, HotPathStats, OptLevel, Relation};
+use crate::column::UnoptColumn;
+use crate::hb::HbRow;
 
 /// Vector-clock HB analysis (`Unopt-HB` in the paper's tables).
 ///
@@ -31,103 +22,14 @@ use crate::{Detector, HotPathStats, OptLevel, Relation};
 /// assert_eq!(det.report().dynamic_count(), 1);
 /// # Ok::<(), smarttrack_trace::TraceError>(())
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct UnoptHb {
-    sync: HbSyncState,
-    vars: Vec<UnoptVar>,
-    report: Report,
-    paths: PathCounters,
-}
-
-impl UnoptHb {
-    /// Creates the analysis with empty state.
-    pub fn new() -> Self {
-        UnoptHb::default()
-    }
-}
-
-impl ClockRow for UnoptHb {
-    type Clocks = HbClocks;
-
-    fn edges(&mut self) -> &mut HardEdges<HbClocks> {
-        &mut self.sync.edges
-    }
-
-    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind) {
-        let local = self.sync.local(t);
-        let var = slot(&mut self.vars, x.index());
-        if var.same_epoch(kind, t, local) {
-            self.paths.fast += 1;
-            return;
-        }
-        self.paths.slow += 1;
-        let now = self.sync.clock_ref(t);
-        let racing = var.access(kind, t, local, |a| a.leq_vc(now));
-        self.report.record(id, loc, t, x, kind, racing);
-    }
-
-    fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
-        self.sync.acquire(t, m, mode);
-    }
-
-    fn release(&mut self, _id: EventId, t: ThreadId, m: LockId) {
-        self.sync.release(t, m);
-    }
-}
-
-impl Detector for UnoptHb {
-    fn name(&self) -> &'static str {
-        "Unopt-HB"
-    }
-
-    fn relation(&self) -> Relation {
-        Relation::Hb
-    }
-
-    fn opt_level(&self) -> OptLevel {
-        OptLevel::Unopt
-    }
-
-    fn begin_stream(&mut self, hint: crate::StreamHint) {
-        self.sync.reserve(&hint);
-        self.vars
-            .reserve(crate::StreamHint::presize(hint.vars, self.vars.len()));
-    }
-
-    fn process(&mut self, id: EventId, event: &Event) {
-        lower(self, id, event.tid, event.op, event.loc);
-    }
-
-    fn report(&self) -> &Report {
-        &self.report
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.sync.footprint_bytes()
-            + UnoptVar::table_bytes(&self.vars)
-            + self.report.footprint_bytes()
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.sync.resident_bytes()
-            + UnoptVar::table_resident_bytes(&self.vars)
-            + self.report.footprint_bytes()
-    }
-
-    fn hot_path_stats(&self) -> HotPathStats {
-        HotPathStats {
-            fast_hits: self.paths.fast,
-            slow_hits: self.paths.slow,
-            state_bytes: self.state_bytes(),
-        }
-    }
-}
+pub type UnoptHb = HbRow<UnoptColumn>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_detector;
-    use smarttrack_trace::{LockId, Op, TraceBuilder};
+    use crate::{run_detector, AccessKind, Detector, Report};
+    use smarttrack_clock::ThreadId;
+    use smarttrack_trace::{LockId, Op, TraceBuilder, VarId};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)

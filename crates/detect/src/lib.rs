@@ -1,15 +1,23 @@
 #![warn(missing_docs)]
 
-//! The eleven race-detection analyses evaluated by the SmartTrack paper.
+//! The twelve race-detection analyses of the SmartTrack paper's Table 1.
 //!
 //! This crate implements every cell of the paper's Table 1:
 //!
-//! | relation | Unopt (w/ or w/o graph) | Epochs | + Ownership | + CCS optimizations |
-//! |----------|------------------------|--------|-------------|---------------------|
-//! | HB       | [`UnoptHb`]            | [`Ft2`]| [`FtoHb`]   | N/A                 |
-//! | WCP      | [`UnoptWcp`]           | —      | [`FtoWcp`]  | [`SmartTrackWcp`]   |
-//! | DC       | [`UnoptDc`]            | —      | [`FtoDc`]   | [`SmartTrackDc`]    |
-//! | WDC      | [`UnoptWdc`]           | —      | [`FtoWdc`]  | [`SmartTrackWdc`]   |
+//! | relation (row) | Unopt (w/ or w/o graph) | Epochs | + Ownership | + CCS optimizations |
+//! |----------------|------------------------|--------|-------------|---------------------|
+//! | HB (`HbRow`)   | [`UnoptHb`]            | [`Ft2`]| [`FtoHb`]   | N/A                 |
+//! | WCP (`WcpRow`) | [`UnoptWcp`]           | —      | [`FtoWcp`]  | [`SmartTrackWcp`]   |
+//! | DC (`DcRow`)   | [`UnoptDc`]            | —      | [`FtoDc`]   | [`SmartTrackDc`]    |
+//! | WDC (`DcRow`)  | [`UnoptWdc`]           | —      | [`FtoWdc`]  | [`SmartTrackWdc`]   |
+//!
+//! Each cell is one generic relation row instantiated over one
+//! optimization column. The row (`HbRow`, `WcpRow`, or `DcRow` with
+//! `RULE_B` selecting DC or WDC) holds the relation's clocks and its lock
+//! and rule (b) logic; the column holds what the optimization level
+//! changes: the per-variable metadata, the access path with its rule (a)
+//! joins, the report and the counters. Both are compile-time type
+//! parameters, so each cell compiles to its own code.
 //!
 //! Plus two extension rows beyond the paper's matrix: [`SyncP`], the
 //! sync-preserving race predictor of Mathur, Pavlogiannis & Viswanathan
@@ -66,6 +74,7 @@
 
 mod access;
 mod api;
+mod column;
 mod common;
 mod config;
 mod counters;

@@ -22,8 +22,8 @@
 //!
 //! Within the crate, the sequential detectors implement only the access
 //! and lock rules ([`ClockRow`]); the hard edges come from the shared
-//! [`HardEdges`](crate::edges::HardEdges) table unless a row overrides them
-//! (graph mode records its edges that way).
+//! [`HardEdges`](crate::edges::HardEdges) table. Graph mode lowers each
+//! event a second time onto its recorder, which names the same hard edges.
 
 use smarttrack_clock::ThreadId;
 use smarttrack_trace::{BarrierId, CondId, EventId, Loc, LockId, Op, VarId};
@@ -50,6 +50,21 @@ impl LockMode {
             LockMode::Read
         }
     }
+}
+
+/// One `rd(x)` or `wr(x)`, as the clock rows see it.
+#[derive(Clone, Copy, Debug)]
+pub struct Access {
+    /// The event's id.
+    pub id: EventId,
+    /// The accessing thread.
+    pub t: ThreadId,
+    /// The accessed variable.
+    pub x: VarId,
+    /// The source location.
+    pub loc: Loc,
+    /// Read or write.
+    pub kind: AccessKind,
 }
 
 /// A synchronization object that carries a clock of its own.
@@ -123,9 +138,8 @@ pub fn lower<C: SyncCore + ?Sized>(core: &mut C, id: EventId, t: ThreadId, op: O
 }
 
 /// A sequential clock row: its own access and lock rules over the shared
-/// hard-edge table. Every [`ClockRow`] is a [`SyncCore`]; the hard-edge
-/// methods default to the table and are overridden only to observe them
-/// (graph mode records constraint-graph edges).
+/// hard-edge table. Every [`ClockRow`] is a [`SyncCore`] whose hard edges
+/// are the table's.
 pub(crate) trait ClockRow {
     /// The family's per-thread clock set and increment policy.
     type Clocks: ThreadClocks;
@@ -133,11 +147,41 @@ pub(crate) trait ClockRow {
     /// The row's hard-edge table.
     fn edges(&mut self) -> &mut HardEdges<Self::Clocks>;
 
-    /// `rd(x)` or `wr(x)`, by `kind`.
-    fn access(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc, kind: AccessKind);
+    /// `rd(x)` or `wr(x)`.
+    fn access(&mut self, a: Access);
     fn acquire(&mut self, id: EventId, t: ThreadId, m: LockId, mode: LockMode);
     fn release(&mut self, id: EventId, t: ThreadId, m: LockId);
+}
 
+impl<R: ClockRow> SyncCore for R {
+    #[inline]
+    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+        let kind = AccessKind::Read;
+        self.access(Access {
+            id,
+            t,
+            x,
+            loc,
+            kind,
+        });
+    }
+    #[inline]
+    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
+        let kind = AccessKind::Write;
+        self.access(Access {
+            id,
+            t,
+            x,
+            loc,
+            kind,
+        });
+    }
+    fn acquire(&mut self, id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
+        ClockRow::acquire(self, id, t, m, mode);
+    }
+    fn release(&mut self, id: EventId, t: ThreadId, m: LockId) {
+        ClockRow::release(self, id, t, m);
+    }
     fn publish(&mut self, _id: EventId, t: ThreadId, obj: SyncObj) {
         self.edges().publish(t, obj);
     }
@@ -155,41 +199,6 @@ pub(crate) trait ClockRow {
     }
     fn barrier_exit(&mut self, _id: EventId, t: ThreadId, b: BarrierId) {
         self.edges().barrier_exit(t, b);
-    }
-}
-
-impl<R: ClockRow> SyncCore for R {
-    #[inline]
-    fn read(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        self.access(id, t, x, loc, AccessKind::Read);
-    }
-    #[inline]
-    fn write(&mut self, id: EventId, t: ThreadId, x: VarId, loc: Loc) {
-        self.access(id, t, x, loc, AccessKind::Write);
-    }
-    fn acquire(&mut self, id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
-        ClockRow::acquire(self, id, t, m, mode);
-    }
-    fn release(&mut self, id: EventId, t: ThreadId, m: LockId) {
-        ClockRow::release(self, id, t, m);
-    }
-    fn publish(&mut self, id: EventId, t: ThreadId, obj: SyncObj) {
-        ClockRow::publish(self, id, t, obj);
-    }
-    fn absorb(&mut self, id: EventId, t: ThreadId, obj: SyncObj) {
-        ClockRow::absorb(self, id, t, obj);
-    }
-    fn fork(&mut self, id: EventId, t: ThreadId, u: ThreadId) {
-        ClockRow::fork(self, id, t, u);
-    }
-    fn join(&mut self, id: EventId, t: ThreadId, u: ThreadId) {
-        ClockRow::join(self, id, t, u);
-    }
-    fn barrier_enter(&mut self, id: EventId, t: ThreadId, b: BarrierId) {
-        ClockRow::barrier_enter(self, id, t, b);
-    }
-    fn barrier_exit(&mut self, id: EventId, t: ThreadId, b: BarrierId) {
-        ClockRow::barrier_exit(self, id, t, b);
     }
 }
 

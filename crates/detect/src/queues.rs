@@ -105,11 +105,6 @@ pub struct DcRuleBQueues {
 }
 
 impl DcRuleBQueues {
-    /// Creates empty queues.
-    pub fn new() -> Self {
-        DcRuleBQueues::default()
-    }
-
     /// Declares the total number of threads the trace will ever use, which
     /// enables compaction of fully-consumed log prefixes. Without a bound,
     /// logs retain all entries (a single shared copy per entry — at most the
@@ -305,11 +300,6 @@ pub struct WcpRuleBQueues {
 }
 
 impl WcpRuleBQueues {
-    /// Creates empty queues.
-    pub fn new() -> Self {
-        WcpRuleBQueues::default()
-    }
-
     fn log_mut(&mut self, m: LockId, t: ThreadId) -> &mut CsLog {
         let lock = slot(&mut self.per_lock, m.index());
         slot(lock, t.index())
@@ -414,7 +404,7 @@ mod tests {
 
     #[test]
     fn dc_queue_joins_matching_release_when_acquire_ordered() {
-        let mut q = DcRuleBQueues::new();
+        let mut q = DcRuleBQueues::default();
         // T0 acquires m at time [1,0]; releases at [3,0].
         q.on_acquire(m(0), t(0), &AcqEntry::Vc(vc(&[(0, 1)])), true);
         let mut rel0 = vc(&[(0, 3)]);
@@ -433,7 +423,7 @@ mod tests {
 
     #[test]
     fn dc_queue_leaves_unordered_acquires() {
-        let mut q = DcRuleBQueues::new();
+        let mut q = DcRuleBQueues::default();
         q.on_acquire(m(0), t(0), &AcqEntry::Vc(vc(&[(0, 4)])), true);
         let mut rel0 = vc(&[(0, 5)]);
         q.on_release(m(0), t(0), &mut rel0, EventId::new(2), true, |_| {});
@@ -448,7 +438,7 @@ mod tests {
 
     #[test]
     fn dc_queue_consumption_is_per_releaser() {
-        let mut q = DcRuleBQueues::new();
+        let mut q = DcRuleBQueues::default();
         q.on_acquire(m(0), t(0), &AcqEntry::Vc(vc(&[(0, 1)])), true);
         let mut rel0 = vc(&[(0, 3)]);
         q.on_release(m(0), t(0), &mut rel0, EventId::new(2), true, |_| {});
@@ -478,8 +468,8 @@ mod tests {
     fn dc_epoch_entries_match_vc_entries_given_acquire_increments() {
         // With increments at acquires, the epoch check c <= now(owner) agrees
         // with the full VC check on join-closed clocks.
-        let mut qv = DcRuleBQueues::new();
-        let mut qe = DcRuleBQueues::new();
+        let mut qv = DcRuleBQueues::default();
+        let mut qe = DcRuleBQueues::default();
         qv.on_acquire(m(0), t(0), &AcqEntry::Vc(vc(&[(0, 2)])), true);
         qe.on_acquire(m(0), t(0), &AcqEntry::Epoch(2), true);
         let mut r1 = vc(&[(0, 4)]);
@@ -497,7 +487,7 @@ mod tests {
 
     #[test]
     fn wcp_queue_is_shared_across_releasers() {
-        let mut q = WcpRuleBQueues::new();
+        let mut q = WcpRuleBQueues::default();
         q.on_acquire(m(0), t(0), 1, true);
         q.on_release_publish(m(0), t(0), &vc(&[(0, 2)]), EventId::new(3));
         // T1 releases with WCP knowledge of T0 up to 1: consumes the entry.
@@ -515,7 +505,7 @@ mod tests {
 
     #[test]
     fn dc_read_release_peeks_write_entries_without_consuming() {
-        let mut q = DcRuleBQueues::new();
+        let mut q = DcRuleBQueues::default();
         // T0: a read-mode section, then a write-mode section.
         q.on_acquire(m(0), t(0), &AcqEntry::Vc(vc(&[(0, 1)])), false);
         let mut r = vc(&[(0, 2)]);
@@ -545,7 +535,7 @@ mod tests {
 
     #[test]
     fn wcp_read_release_peeks_without_draining() {
-        let mut q = WcpRuleBQueues::new();
+        let mut q = WcpRuleBQueues::default();
         q.on_acquire(m(0), t(0), 1, false);
         q.on_release_publish(m(0), t(0), &vc(&[(0, 2)]), EventId::new(1));
         q.on_acquire(m(0), t(0), 3, true);
@@ -564,7 +554,7 @@ mod tests {
 
     #[test]
     fn dc_compaction_preserves_unconsumed_entries() {
-        let mut q = DcRuleBQueues::new();
+        let mut q = DcRuleBQueues::default();
         // 100 critical sections by T0, none ordered for T1.
         for i in 0..100u32 {
             q.on_acquire(m(0), t(0), &AcqEntry::Epoch(1_000 + i), true);

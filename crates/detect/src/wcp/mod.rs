@@ -16,6 +16,9 @@
 //! compared against `Ht` (conflicting accesses are cross-thread, but own
 //! entries must pass trivially — PO is part of neither clock's cross
 //! entries).
+//!
+//! Every Table 1 WCP cell is one [`WcpRow`] over an optimization column:
+//! [`UnoptWcp`], [`FtoWcp`] and [`SmartTrackWcp`].
 
 mod fto;
 mod st;
@@ -26,12 +29,15 @@ pub use st::SmartTrackWcp;
 pub use unopt::UnoptWcp;
 
 use smarttrack_clock::{ClockValue, Epoch, ThreadId, VectorClock};
-use smarttrack_trace::LockId;
+use smarttrack_trace::{Event, EventId, LockId};
 
+use crate::ccs::{CcsFidelity, CcsState};
+use crate::column::{Counts, Sections};
 use crate::common::{slot, vc_table_bytes, vc_table_resident_bytes};
 use crate::edges::{HardEdges, LockClocks, ThreadClocks};
-use crate::lower::LockMode;
-use crate::StreamHint;
+use crate::lower::{lower, Access, ClockRow, LockMode};
+use crate::queues::WcpRuleBQueues;
+use crate::{Detector, FtoCaseCounters, HotPathStats, OptLevel, Relation, Report, StreamHint};
 
 /// The WCP family's thread clocks: an HB clock `Ht` (the clock hard edges
 /// publish) and a WCP clock `Pt` per thread. Predictive analyses increment
@@ -99,10 +105,6 @@ pub(crate) struct WcpClocks {
 }
 
 impl WcpClocks {
-    pub fn new() -> Self {
-        WcpClocks::default()
-    }
-
     /// The HB clock `Ht`, initializing `Ht(t) = 1` on first use.
     pub fn hb(&mut self, t: ThreadId) -> &mut VectorClock {
         self.edges.clock(t)
@@ -111,16 +113,6 @@ impl WcpClocks {
     /// The WCP clock `Pt`.
     pub fn wcp(&mut self, t: ThreadId) -> &mut VectorClock {
         self.edges.threads.wcp(t)
-    }
-
-    /// Read-only view of `Pt`.
-    pub fn wcp_ref(&self, t: ThreadId) -> &VectorClock {
-        &self.edges.threads.wcp[t.index()]
-    }
-
-    /// `Ht(t)` — the local clock used for epochs and same-epoch checks.
-    pub fn local(&mut self, t: ThreadId) -> ClockValue {
-        self.edges.local(t)
     }
 
     /// `acq(m)`: right HB composition through the lock — `Ht ⊔= Hm` and
@@ -163,6 +155,127 @@ impl WcpClocks {
     }
 }
 
+/// The WCP row of Table 1 over column `C`: HB and WCP lock clocks, and
+/// WCP's rule (b) queues (per lock and acquiring thread, footnote 6). Rule
+/// (a) and rule (b) join the *HB* release times of earlier sections into
+/// `Pt` (left composition with HB), so sections close at `Ht`.
+#[derive(Clone, Debug, Default)]
+pub struct WcpRow<C> {
+    clocks: WcpClocks,
+    col: C,
+    queues: WcpRuleBQueues,
+}
+
+impl<C: Sections> WcpRow<C> {
+    /// Creates the analysis with empty state.
+    pub fn new() -> Self {
+        WcpRow::default()
+    }
+}
+
+impl WcpRow<CcsState> {
+    /// Creates the analysis with an explicit CCS fidelity mode
+    /// ([`new`](Self::new) is [`CcsFidelity::Strict`]).
+    pub fn with_fidelity(fidelity: CcsFidelity) -> Self {
+        WcpRow {
+            col: CcsState::new(fidelity),
+            ..WcpRow::default()
+        }
+    }
+}
+
+impl<C: Sections> ClockRow for WcpRow<C> {
+    type Clocks = WcpThreads;
+
+    fn edges(&mut self) -> &mut HardEdges<WcpThreads> {
+        &mut self.clocks.edges
+    }
+
+    /// Accesses check against the WCP clock `Pt`, with the own-thread
+    /// entry compared against `Ht` (see `wcp_epoch_ordered`).
+    fn access(&mut self, a: Access) {
+        // `Ht(t)`: the local clock of epochs and same-epoch checks.
+        let h_own = self.clocks.edges.local(a.t);
+        let check = move |e, p: &VectorClock| wcp_epoch_ordered(e, a.t, h_own, p);
+        let clocks = &mut self.clocks;
+        self.col
+            .access::<true>(a, h_own, || clocks.wcp(a.t), check, None);
+    }
+
+    fn acquire(&mut self, _id: EventId, t: ThreadId, m: LockId, mode: LockMode) {
+        // Enqueue the acquire's local HB time before the clock increment
+        // performed inside `acquire`.
+        let local = self.clocks.hb(t).get(t);
+        self.queues
+            .on_acquire(m, t, local, mode == LockMode::Exclusive);
+        self.clocks.acquire(t, m, mode);
+        self.col.acquire(t, m, mode);
+    }
+
+    fn release(&mut self, id: EventId, t: ThreadId, m: LockId) {
+        // The ended section's mode gates both the rule (b) consumption and
+        // the clock publication below.
+        let (mode, ended) = self.col.release(t, m);
+        let mut p = self.clocks.wcp(t).clone();
+        self.queues
+            .consume(m, t, &mut p, mode == LockMode::Exclusive, |_| {});
+        self.clocks.wcp(t).assign(&p);
+        let hb = self.clocks.hb(t).clone();
+        self.queues.on_release_publish(m, t, &hb, id);
+        self.col.close(t, m, ended, &hb, id);
+        self.clocks.release_publish(t, m, mode);
+    }
+}
+
+impl<C: Sections> Detector for WcpRow<C> {
+    fn name(&self) -> &'static str {
+        match C::LEVEL {
+            OptLevel::Unopt => "Unopt-WCP",
+            OptLevel::Fto => "FTO-WCP",
+            OptLevel::SmartTrack => "SmartTrack-WCP",
+            OptLevel::Epochs => unreachable!("Epochs-WCP is an N/A cell"),
+        }
+    }
+
+    fn relation(&self) -> Relation {
+        Relation::Wcp
+    }
+
+    fn opt_level(&self) -> OptLevel {
+        C::LEVEL
+    }
+
+    fn begin_stream(&mut self, hint: StreamHint) {
+        self.clocks.reserve(&hint);
+        self.col.reserve_sections(&hint);
+        self.col.reserve(&hint);
+    }
+
+    fn process(&mut self, id: EventId, event: &Event) {
+        lower(self, id, event.tid, event.op, event.loc);
+    }
+
+    fn report(&self) -> &Report {
+        self.col.report()
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.clocks.footprint_bytes() + self.queues.footprint_bytes() + self.col.footprint_bytes()
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.clocks.resident_bytes() + self.queues.resident_bytes() + self.col.resident_bytes()
+    }
+
+    fn case_counters(&self) -> Option<&FtoCaseCounters> {
+        self.col.counts().case_counters()
+    }
+
+    fn hot_path_stats(&self) -> HotPathStats {
+        HotPathStats::of(self.col.counts().hits(), self.state_bytes())
+    }
+}
+
 /// The WCP ordering check for an epoch `c@u` against thread `t`'s clocks:
 /// own-thread entries are PO-ordered (compared against `Ht(t)`), cross-thread
 /// entries against `Pt(u)`.
@@ -188,14 +301,14 @@ mod tests {
 
     #[test]
     fn wcp_clock_does_not_mirror_po() {
-        let mut c = WcpClocks::new();
+        let mut c = WcpClocks::default();
         c.hb(t(0)).set(t(0), 5);
         assert_eq!(c.wcp(t(0)).get(t(0)), 0, "Pt must not include own PO");
     }
 
     #[test]
     fn lock_transfer_carries_wcp_knowledge() {
-        let mut c = WcpClocks::new();
+        let mut c = WcpClocks::default();
         let m = LockId::new(0);
         c.wcp(t(0)).set(t(2), 9);
         c.release_publish(t(0), m, LockMode::Exclusive);

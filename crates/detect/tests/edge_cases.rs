@@ -165,7 +165,7 @@ fn interleaved_critical_sections_consume_queues() {
     let mut det = SmartTrackDc::new();
     let summary = run_detector(&mut det, &trace);
     assert!(det.report().is_empty());
-    // With the thread bound declared by prepare(), fully consumed prefixes
+    // With the thread bound run_detector declares, fully consumed prefixes
     // compact: footprint stays small relative to 200 critical sections of
     // growth (each release entry is a clock of 2 entries ≈ tens of bytes).
     assert!(

@@ -150,6 +150,9 @@ fn docs_exist_and_cover_every_format() {
         "FtoVar",
         "StVar",
         "OnlineRow",
+        "HbRow<C>",
+        "WcpRow<C>",
+        "DcRow<C, RULE_B>",
     ] {
         assert!(text.contains(needle), "ARCHITECTURE.md lost `{needle}`");
     }

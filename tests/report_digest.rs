@@ -13,12 +13,18 @@
 //! an access or synchronization rule that every row shares — which the
 //! sequential-vs-concurrent differentials cannot see — still shows up here.
 //! On a mismatch the test prints every computed line.
+//!
+//! A second golden file pins the footprints `smarttrack analyze` and the
+//! corpus JSON report — the final and peak metadata bytes of every Table 1
+//! row and of RoadRunner's FT2 on the four profile slices — so a change
+//! that means to keep the metadata representation shows that it did.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use smarttrack_detect::{
-    run_detector, AnalysisConfig, Detector, FtoCase, FtoCaseCounters, Report, RoadRunnerFt2,
+    analyze, run_detector, AnalysisConfig, Detector, FtoCase, FtoCaseCounters, Report,
+    RoadRunnerFt2, RunSummary,
 };
 use smarttrack_parallel::{
     feed_trace, ConcurrentFtoHb, ConcurrentSmartTrackWdc, OnlineAnalysis, WorldSpec,
@@ -28,6 +34,7 @@ use smarttrack_trace::{paper, Trace};
 use smarttrack_workloads::profiles;
 
 const GOLDEN: &str = "tests/golden/report_digest.txt";
+const FOOTPRINT_GOLDEN: &str = "tests/golden/footprint_digest.txt";
 
 /// The digest corpus, by name.
 fn corpus() -> Vec<(String, Trace)> {
@@ -53,16 +60,24 @@ fn corpus() -> Vec<(String, Trace)> {
             RandomTraceSpec::tiny_rw().generate(seed),
         ));
     }
-    for workload in [
+    out.extend(profile_slices());
+    out
+}
+
+/// ~10k-event slices of four calibrated profiles.
+fn profile_slices() -> Vec<(String, Trace)> {
+    [
         profiles::xalan(),
         profiles::avrora(),
         profiles::condsync(),
         profiles::rwmix(),
-    ] {
+    ]
+    .into_iter()
+    .map(|workload| {
         let scale = 1e4 / (workload.paper.events_m * 1e6);
-        out.push((format!("{}-10k", workload.name), workload.trace(scale, 5)));
-    }
-    out
+        (format!("{}-10k", workload.name), workload.trace(scale, 5))
+    })
+    .collect()
 }
 
 /// FNV-1a over each race's debug rendering, in report order.
@@ -150,12 +165,34 @@ fn digest_lines() -> Vec<String> {
     lines
 }
 
-#[test]
-fn reports_match_the_golden_digest() {
-    let computed = digest_lines();
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
-    let golden = std::fs::read_to_string(&path).unwrap_or_default();
-    let expected: Vec<&str> = golden.lines().collect();
+fn footprint_line(trace: &str, row: &str, summary: &RunSummary) -> String {
+    format!(
+        "{trace} {row} final={} peak={}",
+        summary.final_state_bytes, summary.peak_footprint_bytes
+    )
+}
+
+fn footprint_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (name, trace) in profile_slices() {
+        for config in AnalysisConfig::table1() {
+            let outcome = analyze(&trace, config);
+            let row = outcome.name.replace(' ', "_");
+            lines.push(footprint_line(&name, &row, &outcome.summary));
+        }
+        let mut rr = RoadRunnerFt2::new();
+        let summary = run_detector(&mut rr, &trace);
+        lines.push(footprint_line(&name, rr.name(), &summary));
+    }
+    lines
+}
+
+/// Compares `computed` with the committed golden file at `golden`; on a
+/// mismatch prints every computed line and panics at the first difference.
+fn assert_matches_golden(computed: &[String], golden: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
+    let text = std::fs::read_to_string(&path).unwrap_or_default();
+    let expected: Vec<&str> = text.lines().collect();
     if computed
         .iter()
         .map(String::as_str)
@@ -163,18 +200,18 @@ fn reports_match_the_golden_digest() {
     {
         return;
     }
-    eprintln!("---- computed digest ({} lines) ----", computed.len());
-    for l in &computed {
+    eprintln!("---- computed {golden} ({} lines) ----", computed.len());
+    for l in computed {
         eprintln!("{l}");
     }
-    eprintln!("---- end of computed digest ----");
+    eprintln!("---- end of computed {golden} ----");
     let first_diff = computed
         .iter()
         .zip(expected.iter())
         .position(|(c, e)| c != e)
         .unwrap_or(computed.len().min(expected.len()));
     panic!(
-        "digest differs from {GOLDEN} at line {}: computed {:?}, golden {:?} \
+        "digest differs from {golden} at line {}: computed {:?}, golden {:?} \
          ({} computed lines, {} golden lines)",
         first_diff + 1,
         computed.get(first_diff),
@@ -182,4 +219,14 @@ fn reports_match_the_golden_digest() {
         computed.len(),
         expected.len()
     );
+}
+
+#[test]
+fn reports_match_the_golden_digest() {
+    assert_matches_golden(&digest_lines(), GOLDEN);
+}
+
+#[test]
+fn footprints_match_the_golden_digest() {
+    assert_matches_golden(&footprint_lines(), FOOTPRINT_GOLDEN);
 }
