@@ -34,6 +34,8 @@
 use std::fmt;
 use std::io::Write;
 
+use smarttrack_trace::formats::TraceSource;
+
 mod cmd;
 mod opts;
 
@@ -216,50 +218,17 @@ fn requested_format(
         .transpose()
 }
 
-/// An opened trace input: either fully materialized (the text formats) or
-/// a streaming STB decoder, which commands feed into an analysis session
-/// without ever holding the whole trace.
-enum TraceSource {
-    /// All events in memory, as every text format requires.
-    Whole(smarttrack_trace::Trace),
-    /// A chunk-at-a-time STB stream.
-    Stb(smarttrack_trace::binary::StbReader<std::io::BufReader<std::fs::File>>),
-}
-
 /// Opens a trace file for reading, honoring the command's `--format`
 /// override and otherwise auto-detecting (magic-byte sniffing, then the
 /// extension). STB inputs come back as a stream; everything else is parsed
-/// eagerly. The file is opened exactly once — the sniff probe seeks back
-/// rather than reopening, so format decision and data come from the same
-/// file version.
+/// eagerly.
 fn open_trace(path: &str, opts: &Opts) -> Result<TraceSource, CliError> {
-    use smarttrack_trace::formats::{self, TraceFormat};
-    use std::io::{Read as _, Seek as _, SeekFrom};
-
-    let io_err = |source| CliError::Io {
-        path: path.to_string(),
-        source,
-    };
-    let mut file = std::fs::File::open(path).map_err(io_err)?;
-    let format = match requested_format(opts)? {
-        Some(format) => format,
-        None => {
-            let mut probe = Vec::with_capacity(4);
-            (&file).take(4).read_to_end(&mut probe).map_err(io_err)?;
-            file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-            formats::sniff(&probe).unwrap_or_else(|| formats::format_of_path(path))
-        }
-    };
-    if format == TraceFormat::Stb {
-        let reader = smarttrack_trace::binary::StbReader::new(std::io::BufReader::new(file))
-            .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?;
-        return Ok(TraceSource::Stb(reader));
-    }
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(io_err)?;
-    let trace = formats::parse_bytes(&bytes, format)
-        .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?;
-    Ok(TraceSource::Whole(trace))
+    smarttrack_trace::formats::open_file(path, requested_format(opts)?)
+        .map_err(|source| CliError::Io {
+            path: path.to_string(),
+            source,
+        })?
+        .map_err(|e| CliError::Invalid(format!("{path}: {e}")))
 }
 
 /// Streams every event of an STB reader into an analysis session, mapping

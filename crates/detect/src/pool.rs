@@ -55,7 +55,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 
-use smarttrack_trace::{binary::StbReader, formats, Loc, Trace, TraceError};
+use smarttrack_trace::formats::{self, FormatError, TraceSource};
+use smarttrack_trace::{Loc, Trace, TraceError};
 
 use crate::{AnalysisConfig, AnalysisOutcome, Engine, RaceReport, Session, StreamHint};
 
@@ -750,68 +751,41 @@ impl EnginePool {
         tx: &Sender<PoolMsg>,
     ) -> Result<JobSuccess, JobError> {
         let malformed = |e: TraceError| JobError::Malformed(format!("{label}: {e}"));
-        let session = match source {
-            JobSource::Trace(trace) => {
-                let mut session = self.open_session(StreamHint::default(), index, label, tx);
-                session.feed_trace(&trace).map_err(malformed)?;
-                session
-            }
-            JobSource::Generator(generate) => {
-                let trace = generate();
-                let mut session = self.open_session(StreamHint::default(), index, label, tx);
-                session.feed_trace(&trace).map_err(malformed)?;
-                session
-            }
+        let finish = |session: Session<'static>| JobSuccess {
+            events: session.events(),
+            outcomes: session.finish(),
+        };
+        let trace = match source {
+            JobSource::Trace(trace) => *trace,
+            JobSource::Generator(generate) => generate(),
             JobSource::Path(path) => {
-                use std::io::{Read as _, Seek as _, SeekFrom};
-                let io_err = |e: std::io::Error| JobError::Io(format!("{}: {e}", path.display()));
-                let mut file = std::fs::File::open(&path).map_err(io_err)?;
-                let mut probe = Vec::with_capacity(4);
-                (&file).take(4).read_to_end(&mut probe).map_err(io_err)?;
-                file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-                let format =
-                    formats::sniff(&probe).unwrap_or_else(|| formats::format_of_path(&path));
-                if format == formats::TraceFormat::Stb {
-                    // Stream: chunk-at-a-time decode, header hint pre-sizes
-                    // the session, the trace is never materialized.
-                    let reader = StbReader::new(std::io::BufReader::new(file))
-                        .map_err(|e| JobError::Decode(format!("{}: {e}", path.display())))?;
-                    let declared = reader.header().hint.map(|h| h.events);
-                    let hint = StreamHint::of_stb_header(reader.header());
-                    let mut session = self.open_session(hint, index, label, tx);
-                    for event in reader {
-                        let event = event
-                            .map_err(|e| JobError::Decode(format!("{}: {e}", path.display())))?;
-                        session.feed(event).map_err(malformed)?;
-                    }
-                    // Same cross-check as the eager `read_stb`: a stream
-                    // that ends cleanly on a chunk boundary but short of
-                    // its header-declared length is corrupt, not complete.
-                    if let Some(declared) = declared {
-                        if declared != session.events() as u64 {
-                            return Err(JobError::Decode(format!(
-                                "{}: corrupt stream: header hint declares {declared} events \
-                                 but the stream carries {}",
-                                path.display(),
-                                session.events()
-                            )));
+                let at = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+                let source = formats::open_file(&path, None)
+                    .map_err(|e| JobError::Io(at(&e)))?
+                    .map_err(|e| match e {
+                        FormatError::Binary(_) => JobError::Decode(at(&e)),
+                        _ => JobError::Parse(at(&e)),
+                    })?;
+                match source {
+                    TraceSource::Whole(trace) => trace,
+                    TraceSource::Stb(reader) => {
+                        // Stream: chunk-at-a-time decode, header hint
+                        // pre-sizes the session, the trace is never
+                        // materialized.
+                        let hint = StreamHint::of_stb_header(reader.header());
+                        let mut session = self.open_session(hint, index, label, tx);
+                        for event in reader {
+                            let event = event.map_err(|e| JobError::Decode(at(&e)))?;
+                            session.feed(event).map_err(malformed)?;
                         }
+                        return Ok(finish(session));
                     }
-                    session
-                } else {
-                    let mut bytes = Vec::new();
-                    file.read_to_end(&mut bytes).map_err(io_err)?;
-                    let trace = formats::parse_bytes(&bytes, format)
-                        .map_err(|e| JobError::Parse(format!("{}: {e}", path.display())))?;
-                    let mut session = self.open_session(StreamHint::default(), index, label, tx);
-                    session.feed_trace(&trace).map_err(malformed)?;
-                    session
                 }
             }
         };
-        let events = session.events();
-        let outcomes = session.finish();
-        Ok(JobSuccess { events, outcomes })
+        let mut session = self.open_session(StreamHint::default(), index, label, tx);
+        session.feed_trace(&trace).map_err(malformed)?;
+        Ok(finish(session))
     }
 
     /// Opens one session with a sink forwarding race notices (as owned
@@ -965,6 +939,34 @@ mod tests {
         assert_eq!(report.totals()[0].dynamic, 1);
         let _ = std::fs::remove_file(&good);
         let _ = std::fs::remove_file(&bad);
+    }
+
+    #[test]
+    fn contradicting_stb_hint_fails_the_job_as_a_decode_error() {
+        use smarttrack_trace::binary::{StbHint, StbWriter};
+        let trace = smarttrack_trace::gen::RandomTraceSpec::default().generate(3);
+        for declared in [trace.len() + 1, trace.len() - 1] {
+            let path = std::env::temp_dir().join(format!(
+                "st-pool-hint-{declared}-{}.stb",
+                std::process::id()
+            ));
+            let hint = StbHint {
+                events: declared as u64,
+                ..StbHint::of_trace(&trace)
+            };
+            let mut writer = StbWriter::with_hint(std::fs::File::create(&path).unwrap(), hint);
+            for event in trace.events() {
+                writer.write(event).unwrap();
+            }
+            writer.finish().unwrap();
+            let report = EnginePool::new(wdc_engine()).run(vec![BatchJob::from_path(&path)]);
+            let error = report.jobs()[0].result.as_ref().unwrap_err();
+            assert!(
+                matches!(error, JobError::Decode(m) if m.contains("header hint declares")),
+                "{error:?}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

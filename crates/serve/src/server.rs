@@ -624,23 +624,8 @@ fn finish_entry(mut entry: Entry, lanes: &[LaneInfo]) -> Frame {
     if never_fed {
         return finish_session(entry.session, lanes);
     }
-    match entry.asm.close() {
-        Ok(decoded) => {
-            // Cross-check the header's declared count, like the batch
-            // pool: a short-but-well-terminated stream is suspect.
-            if let Some(hint) = entry.asm.header().and_then(|h| h.hint) {
-                if hint.events != decoded {
-                    return error_frame(
-                        ErrorCode::StreamFailed,
-                        format!(
-                            "stream header declared {} events but {decoded} arrived",
-                            hint.events
-                        ),
-                    );
-                }
-            }
-        }
-        Err(e) => return error_frame(ErrorCode::StreamFailed, format!("stb stream: {e}")),
+    if let Err(e) = entry.asm.close() {
+        return error_frame(ErrorCode::StreamFailed, format!("stb stream: {e}"));
     }
     finish_session(entry.session, lanes)
 }

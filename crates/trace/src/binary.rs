@@ -23,6 +23,12 @@
 //!   varint/zigzag **deltas** against the previous target id of the same
 //!   kind, which is what gets the common case down to one or two bytes.
 //!
+//! There is one decoder, [`StbAssembler`], with two faces: push bytes into
+//! it as they arrive (a server multiplexing many streams), or let an
+//! [`StbReader`] pull exactly the bytes it asks for from an `impl Read`
+//! (files, pipes, dedicated sockets). Both check the header hint's event
+//! count when the terminator arrives.
+//!
 //! # Examples
 //!
 //! Eager round trip through memory:
@@ -55,6 +61,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -131,9 +138,11 @@ fn check_chunk_count(count: u64, len: u64, offset: u64) -> Result<(), StbError> 
 
 /// Stream metadata carried by the STB header when known at write time.
 ///
-/// Everything here is advisory — decoding never depends on it — but a
-/// streaming consumer can use it to pre-size analysis metadata (the
-/// `StreamHint` plumbing of `smarttrack-detect`) and report progress.
+/// A streaming consumer can use it to pre-size analysis metadata (the
+/// `StreamHint` plumbing of `smarttrack-detect`) and report progress. The
+/// cardinalities are advisory — decoding never depends on them — but the
+/// event count is checked: a stream that carries a different number of
+/// events fails at its terminator as [`StbError::Corrupt`].
 /// [`write_stb`] (which sees a whole [`Trace`]) always writes one;
 /// [`StbWriter`] (which sees an unbounded stream) omits it unless given
 /// one via [`StbWriter::with_hint`].
@@ -330,102 +339,6 @@ fn read_varint(
     }
 }
 
-/// Reads one varint directly from a counting reader (used for frame lengths,
-/// where the payload is not yet buffered).
-fn read_varint_io<R: Read>(
-    r: &mut CountingReader<R>,
-    context: &'static str,
-) -> Result<Option<u64>, StbError> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read_exact_or_eof(&mut byte)? {
-            true => {}
-            false => {
-                if first {
-                    return Ok(None); // clean EOF at a frame boundary
-                }
-                return Err(StbError::Truncated {
-                    offset: r.offset(),
-                    context,
-                });
-            }
-        }
-        first = false;
-        let byte = byte[0];
-        if shift == 63 && byte > 1 {
-            return Err(StbError::Corrupt {
-                offset: r.offset() - 1,
-                message: format!("varint overflows 64 bits while reading {context}"),
-            });
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(Some(value));
-        }
-        shift += 7;
-    }
-}
-
-/// A reader that tracks the absolute byte offset, so every decode error can
-/// name the position it happened at.
-struct CountingReader<R> {
-    inner: R,
-    offset: u64,
-}
-
-impl<R: Read> CountingReader<R> {
-    fn new(inner: R) -> Self {
-        CountingReader { inner, offset: 0 }
-    }
-
-    fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Fills `buf` completely, or returns `Ok(false)` on clean EOF at the
-    /// first byte. EOF mid-buffer is an error (`Truncated` is raised by the
-    /// caller, which knows the context).
-    fn read_exact_or_eof(&mut self, buf: &mut [u8]) -> io::Result<bool> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.inner.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => return Ok(false),
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "unexpected end of STB stream",
-                    ))
-                }
-                Ok(n) => {
-                    filled += n;
-                    self.offset += n as u64;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8], context: &'static str) -> Result<(), StbError> {
-        match self.read_exact_or_eof(buf) {
-            Ok(true) => Ok(()),
-            Ok(false) => Err(StbError::Truncated {
-                offset: self.offset,
-                context,
-            }),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(StbError::Truncated {
-                offset: self.offset,
-                context,
-            }),
-            Err(e) => Err(StbError::Io(e)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Event codec: op tags and per-chunk delta state.
 
@@ -598,16 +511,17 @@ fn id_from_i64(v: i64, offset: u64, what: &str) -> Result<u32, StbError> {
     })
 }
 
-/// Decodes the payload of one chunk into `sink`. `version` selects the
-/// chunk grammar (v1: 3-bit tags; v2: 4-bit tags plus the condvar/barrier
-/// operations); `expected` is the frame's declared event count; `base` the
-/// absolute offset of the payload's first byte.
+/// Decodes the payload of one chunk onto the back of `events`. `version`
+/// selects the chunk grammar (v1: 3-bit tags; v2: 4-bit tags plus the
+/// condvar/barrier operations); `expected` is the frame's declared event
+/// count; `base` the absolute offset of the payload's first byte. On an
+/// error, the events already pushed stay; the caller drops them.
 fn decode_chunk(
     payload: &[u8],
     version: u8,
     expected: u64,
     base: u64,
-    mut sink: impl FnMut(Event),
+    events: &mut VecDeque<Event>,
 ) -> Result<(), StbError> {
     let bits = tag_bits(version);
     let max_tag = max_tag(version);
@@ -683,7 +597,7 @@ fn decode_chunk(
             } else {
                 Loc::UNKNOWN
             };
-            sink(Event::with_loc(ThreadId::new(tid), op, loc));
+            events.push_back(Event::with_loc(ThreadId::new(tid), op, loc));
         }
         decoded += run_len;
     }
@@ -939,243 +853,21 @@ impl<W: Write> StbWriter<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Reader.
-
-/// A streaming STB decoder: an iterator of [`Event`]s that reads one chunk
-/// at a time, so memory stays bounded by the writer's chunk size however
-/// large the file.
-///
-/// The reader performs no trace validation — feed its events to an analysis
-/// `Session` (which validates the stream) or to a
-/// [`TraceBuilder`]. The eager [`read_stb`] wrapper
-/// does the latter for you.
-///
-/// # Examples
-///
-/// ```
-/// use smarttrack_trace::{binary, paper};
-///
-/// let bytes = binary::to_stb_bytes(&paper::figure1());
-/// let mut reader = binary::StbReader::new(&bytes[..])?;
-/// assert_eq!(reader.header().hint.unwrap().events, 8);
-/// let first = reader.next().unwrap()?;
-/// assert_eq!(first.to_string(), "T0:rd(x0)");
-/// # Ok::<(), smarttrack_trace::binary::StbError>(())
-/// ```
-pub struct StbReader<R: Read> {
-    input: CountingReader<R>,
-    header: StbHeader,
-    /// Decoded events of the current chunk, drained front to back.
-    chunk: std::vec::IntoIter<Event>,
-    /// Set once the terminator (or a fatal error) was seen.
-    done: bool,
-    /// Events decoded (yielded or skipped) so far.
-    position: u64,
-}
-
-impl<R: Read> StbReader<R> {
-    /// Reads and checks the STB header, leaving the reader positioned at
-    /// the first chunk.
-    ///
-    /// # Errors
-    ///
-    /// [`StbError::BadMagic`] / [`StbError::UnsupportedVersion`] /
-    /// [`StbError::UnknownFlags`] for foreign or future inputs,
-    /// [`StbError::Truncated`] if the input ends inside the header.
-    pub fn new(input: R) -> Result<Self, StbError> {
-        let mut input = CountingReader::new(input);
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic, "magic")?;
-        if magic != STB_MAGIC {
-            return Err(StbError::BadMagic { found: magic });
-        }
-        let mut version_flags = [0u8; 2];
-        input.read_exact(&mut version_flags, "version and flags")?;
-        let [version, flags] = version_flags;
-        if !matches!(version, STB_VERSION | STB_VERSION_2 | STB_VERSION_3) {
-            return Err(StbError::UnsupportedVersion(version));
-        }
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(StbError::UnknownFlags(flags));
-        }
-        let hint = if flags & FLAG_HAS_HINT != 0 {
-            let mut fields = [0u64; 7];
-            let count = if version >= STB_VERSION_2 { 7 } else { 5 };
-            for field in fields.iter_mut().take(count) {
-                *field = read_varint_io(&mut input, "header hint")?.ok_or(StbError::Truncated {
-                    offset: input.offset(),
-                    context: "header hint",
-                })?;
-            }
-            Some(StbHint {
-                events: fields[0],
-                threads: fields[1],
-                vars: fields[2],
-                locks: fields[3],
-                volatiles: fields[4],
-                condvars: fields[5],
-                barriers: fields[6],
-            })
-        } else {
-            None
-        };
-        Ok(StbReader {
-            input,
-            header: StbHeader { version, hint },
-            chunk: Vec::new().into_iter(),
-            done: false,
-            position: 0,
-        })
-    }
-
-    /// The decoded header.
-    pub fn header(&self) -> &StbHeader {
-        &self.header
-    }
-
-    /// Number of events decoded (yielded or skipped) so far.
-    pub fn position(&self) -> u64 {
-        self.position
-    }
-
-    /// Reads one chunk frame. Returns the payload and its declared event
-    /// count, or `None` at the terminator / clean EOF.
-    fn next_frame(&mut self) -> Result<Option<(Vec<u8>, u64, u64)>, StbError> {
-        let Some(len) = read_varint_io(&mut self.input, "chunk length")? else {
-            // Missing terminator: the file was cut at a chunk boundary. Be
-            // strict — a truncated recording should not silently pass.
-            return Err(StbError::Truncated {
-                offset: self.input.offset(),
-                context: "chunk length (missing end-of-stream terminator)",
-            });
-        };
-        if len == 0 {
-            return Ok(None); // end-of-stream terminator
-        }
-        if len > MAX_CHUNK_BYTES {
-            return Err(StbError::Corrupt {
-                offset: self.input.offset(),
-                message: format!(
-                    "chunk payload of {len} bytes exceeds the {MAX_CHUNK_BYTES}-byte cap"
-                ),
-            });
-        }
-        let count = read_varint_io(&mut self.input, "chunk event count")?.ok_or_else(|| {
-            StbError::Truncated {
-                offset: self.input.offset(),
-                context: "chunk event count",
-            }
-        })?;
-        if count == 0 {
-            return Err(StbError::Corrupt {
-                offset: self.input.offset(),
-                message: "chunk declares zero events".to_string(),
-            });
-        }
-        check_chunk_count(count, len, self.input.offset())?;
-        let base = self.input.offset();
-        let mut payload = vec![0u8; len as usize];
-        self.input.read_exact(&mut payload, "chunk payload")?;
-        Ok(Some((payload, count, base)))
-    }
-
-    /// Loads and decodes the next chunk into the event buffer. Returns
-    /// `false` at end of stream.
-    fn load_chunk(&mut self) -> Result<bool, StbError> {
-        let Some((payload, count, base)) = self.next_frame()? else {
-            return Ok(false);
-        };
-        let mut events = Vec::with_capacity(count as usize);
-        decode_chunk(&payload, self.header.version, count, base, |e| {
-            events.push(e)
-        })?;
-        self.chunk = events.into_iter();
-        Ok(true)
-    }
-
-    /// Skips the next whole chunk without decoding its events (any events
-    /// already buffered from the current chunk are dropped first). Returns
-    /// the number of events skipped, or `None` at end of stream.
-    ///
-    /// Skipping is sound because every chunk's delta state is
-    /// self-contained; it is how a consumer seeks coarsely into a long
-    /// recording (e.g. to resume a windowed analysis).
-    ///
-    /// # Errors
-    ///
-    /// Frame-level errors only — the skipped payload is not validated.
-    pub fn skip_chunk(&mut self) -> Result<Option<u64>, StbError> {
-        let dropped = self.chunk.len() as u64;
-        self.chunk = Vec::new().into_iter();
-        if dropped > 0 {
-            self.position += dropped;
-            return Ok(Some(dropped));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        match self.next_frame() {
-            Ok(None) => {
-                self.done = true;
-                Ok(None)
-            }
-            Ok(Some((_, count, _))) => {
-                self.position += count;
-                Ok(Some(count))
-            }
-            Err(e) => {
-                // Latch end-of-stream, exactly like `next`: after a frame
-                // error the byte position is unreliable, and resuming could
-                // misread payload bytes as a fresh frame.
-                self.done = true;
-                Err(e)
-            }
-        }
-    }
-}
-
-impl<R: Read> Iterator for StbReader<R> {
-    type Item = Result<Event, StbError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(event) = self.chunk.next() {
-                self.position += 1;
-                return Some(Ok(event));
-            }
-            if self.done {
-                return None;
-            }
-            match self.load_chunk() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Push-style assembler.
+// Decoder: one push parser with a blocking face.
 
 /// How far an [`StbAssembler`] parse attempt got.
 enum Advance {
     /// Consumed a header or chunk; try again.
     Progress,
-    /// The buffered bytes end mid-structure; wait for more input.
-    NeedMore,
+    /// The buffered bytes end mid-structure, which needs at least this
+    /// many more; wait for more input.
+    NeedMore(usize),
     /// The end-of-stream terminator was consumed.
     Done,
 }
 
-/// Maps "ran out of buffered bytes" to [`Advance::NeedMore`] unless the
-/// caller has declared end of input, in which case the underlying
+/// Maps "ran out of buffered bytes" to `None` (wait for more input) unless
+/// the caller has declared end of input, in which case the underlying
 /// [`StbError::Truncated`] (with its precise offset and context) stands.
 fn or_need_more<T>(r: Result<T, StbError>, eof: bool) -> Result<Option<T>, StbError> {
     match r {
@@ -1185,19 +877,33 @@ fn or_need_more<T>(r: Result<T, StbError>, eof: bool) -> Result<Option<T>, StbEr
     }
 }
 
-/// A push-style incremental STB decoder: the inverse control flow of
-/// [`StbReader`].
+/// A fixed-size field `missing` bytes short of complete: wait for them, or
+/// at end of input fail with the truncation at `offset`.
+fn need_more(
+    missing: usize,
+    eof: bool,
+    offset: u64,
+    context: &'static str,
+) -> Result<Advance, StbError> {
+    if eof {
+        return Err(StbError::Truncated { offset, context });
+    }
+    Ok(Advance::NeedMore(missing))
+}
+
+/// The STB decoder, push-style: the owner [`push`es](StbAssembler::push)
+/// byte slices as they arrive (cut at *arbitrary* points — mid-header,
+/// mid-varint, mid-chunk) and drains decoded events with
+/// [`next_event`](StbAssembler::next_event); when the input ends,
+/// [`close`](StbAssembler::close) either confirms a well-terminated stream
+/// or reports a precise [`Truncated`](StbError::Truncated) error naming the
+/// byte offset and what was being read.
 ///
-/// [`StbReader`] *pulls* from an `impl Read` and blocks until bytes arrive;
-/// that is the right shape for files and dedicated sockets, but a server
-/// multiplexing many streams over a shared worker pool cannot afford to
-/// park a worker thread inside `read`. `StbAssembler` inverts the flow:
-/// the owner [`push`es](StbAssembler::push) byte slices as they arrive (cut
-/// at *arbitrary* points — mid-header, mid-varint, mid-chunk) and drains
-/// decoded events with [`next_event`](StbAssembler::next_event); when the
-/// input ends, [`close`](StbAssembler::close) either confirms a
-/// well-terminated stream or reports the same precise
-/// [`Truncated`](StbError::Truncated) error `StbReader` would have raised.
+/// A server multiplexing many streams over a shared worker pool needs this
+/// shape: it cannot afford to park a worker thread inside `read`.
+/// [`StbReader`] is the blocking face of the same decoder, for files and
+/// dedicated sockets: it reads exactly the bytes the assembler asks for
+/// next, so both faces fail the same way at the same offsets.
 ///
 /// Memory stays bounded: at most one chunk frame (≤ 64 MiB payload cap,
 /// typically a few KiB; [`with_chunk_cap`](StbAssembler::with_chunk_cap)
@@ -1206,10 +912,12 @@ fn or_need_more<T>(r: Result<T, StbError>, eof: bool) -> Result<Option<T>, StbEr
 /// are latched — after the first error the assembler refuses further input
 /// rather than resynchronizing on garbage.
 ///
-/// Unlike `StbReader`, which stops at the terminator and leaves any
-/// trailing bytes to the underlying reader, the assembler owns its whole
-/// input and rejects bytes after the terminator as
-/// [`Corrupt`](StbError::Corrupt).
+/// When the end-of-stream terminator arrives, a header hint's event count
+/// must match the events the stream carried; a contradiction is
+/// [`Corrupt`](StbError::Corrupt). Unlike `StbReader`, which stops at the
+/// terminator and leaves any trailing bytes to the underlying reader, the
+/// assembler owns its whole input and rejects bytes after the terminator
+/// as [`Corrupt`](StbError::Corrupt) too.
 ///
 /// # Examples
 ///
@@ -1237,13 +945,20 @@ pub struct StbAssembler {
     /// already-consumed garbage awaiting compaction.
     buf: Vec<u8>,
     start: usize,
-    /// Absolute stream offset of `buf[start]` — keeps error offsets
-    /// identical to what `StbReader` reports on the same byte stream.
+    /// Absolute stream offset of `buf[start]`, so every error names its
+    /// position in the stream, not in the buffer.
     consumed: u64,
     header: Option<StbHeader>,
     /// Decoded events awaiting [`next_event`](StbAssembler::next_event).
-    events: std::collections::VecDeque<Event>,
+    events: VecDeque<Event>,
+    /// Events decoded so far, plus those of chunks skipped undecoded.
     position: u64,
+    /// The fewest further bytes the structure at `buf[start..]` needs
+    /// before it parses — exactly what [`StbReader`] reads next.
+    need: usize,
+    /// Consume the next chunk's payload without decoding it (set by
+    /// [`StbReader::skip_chunk`]).
+    skip: bool,
     done: bool,
     poisoned: bool,
     /// Largest chunk payload this consumer accepts (≤ [`MAX_CHUNK_BYTES`]),
@@ -1265,8 +980,10 @@ impl StbAssembler {
             start: 0,
             consumed: 0,
             header: None,
-            events: std::collections::VecDeque::new(),
+            events: VecDeque::new(),
             position: 0,
+            need: STB_MAGIC.len(),
+            skip: false,
             done: false,
             poisoned: false,
             chunk_cap: MAX_CHUNK_BYTES,
@@ -1313,29 +1030,16 @@ impl StbAssembler {
     ///
     /// # Errors
     ///
-    /// Any header or chunk error [`StbReader`] would raise at the same
-    /// offset, plus [`Corrupt`](StbError::Corrupt) for bytes after the
-    /// terminator. Errors are latched: every later call fails too.
+    /// Any header or chunk error, a header hint the terminator contradicts,
+    /// and [`Corrupt`](StbError::Corrupt) for bytes after the terminator.
+    /// Errors are latched: every later call fails too.
     pub fn push(&mut self, bytes: &[u8]) -> Result<(), StbError> {
         self.check_poison()?;
         if self.done && !bytes.is_empty() {
             return self.poison(trailing_error(self.consumed, bytes.len()));
         }
         self.buf.extend_from_slice(bytes);
-        loop {
-            match self.advance(false) {
-                Ok(Advance::Progress) => {}
-                Ok(Advance::NeedMore) => return Ok(()),
-                Ok(Advance::Done) => {
-                    let trailing = self.buf.len() - self.start;
-                    if trailing > 0 {
-                        return self.poison(trailing_error(self.consumed, trailing));
-                    }
-                    return Ok(());
-                }
-                Err(e) => return self.poison(e),
-            }
-        }
+        self.parse(false)
     }
 
     /// Pops the next decoded event, or `None` if decoding is waiting on
@@ -1354,20 +1058,8 @@ impl StbAssembler {
     /// [`Truncated`](StbError::Truncated) (or any latched earlier error).
     pub fn close(&mut self) -> Result<u64, StbError> {
         self.check_poison()?;
-        loop {
-            match self.advance(true) {
-                Ok(Advance::Progress) => {}
-                Ok(Advance::NeedMore) => unreachable!("advance(eof) never defers"),
-                Ok(Advance::Done) => {
-                    let trailing = self.buf.len() - self.start;
-                    if trailing > 0 {
-                        return self.poison(trailing_error(self.consumed, trailing));
-                    }
-                    return Ok(self.position);
-                }
-                Err(e) => return self.poison(e),
-            }
-        }
+        self.parse(true)?;
+        Ok(self.position)
     }
 
     fn check_poison(&self) -> Result<(), StbError> {
@@ -1383,6 +1075,30 @@ impl StbAssembler {
     fn poison<T>(&mut self, e: StbError) -> Result<T, StbError> {
         self.poisoned = true;
         Err(e)
+    }
+
+    /// Parses every complete structure in the buffer and records what the
+    /// next one needs. With `eof` set, an incomplete structure is an error.
+    /// Errors poison the assembler.
+    fn parse(&mut self, eof: bool) -> Result<(), StbError> {
+        loop {
+            match self.advance(eof) {
+                Ok(Advance::Progress) => {}
+                Ok(Advance::NeedMore(missing)) => {
+                    assert!(!eof, "advance(eof) never defers");
+                    self.need = missing;
+                    return Ok(());
+                }
+                Ok(Advance::Done) => {
+                    let trailing = self.buf.len() - self.start;
+                    if trailing > 0 {
+                        return self.poison(trailing_error(self.consumed, trailing));
+                    }
+                    return Ok(());
+                }
+                Err(e) => return self.poison(e),
+            }
+        }
     }
 
     /// Marks `n` bytes as parsed and compacts the buffer once the dead
@@ -1406,36 +1122,25 @@ impl StbAssembler {
         if self.done {
             return Ok(Advance::Done);
         }
-        if self.header.is_none() {
-            return self.advance_header(eof);
+        match self.header {
+            None => self.advance_header(eof),
+            Some(header) => self.advance_chunk(header, eof),
         }
-        self.advance_chunk(eof)
     }
 
     fn advance_header(&mut self, eof: bool) -> Result<Advance, StbError> {
         let bytes = &self.buf[self.start..];
         let base = self.consumed;
+        let end = base + bytes.len() as u64;
         if bytes.len() < 4 {
-            if eof {
-                return Err(StbError::Truncated {
-                    offset: base + bytes.len() as u64,
-                    context: "magic",
-                });
-            }
-            return Ok(Advance::NeedMore);
+            return need_more(4 - bytes.len(), eof, end, "magic");
         }
         let magic: [u8; 4] = bytes[..4].try_into().expect("four bytes");
         if magic != STB_MAGIC {
             return Err(StbError::BadMagic { found: magic });
         }
         if bytes.len() < 6 {
-            if eof {
-                return Err(StbError::Truncated {
-                    offset: base + bytes.len() as u64,
-                    context: "version and flags",
-                });
-            }
-            return Ok(Advance::NeedMore);
+            return need_more(6 - bytes.len(), eof, end, "version and flags");
         }
         let (version, flags) = (bytes[4], bytes[5]);
         if !matches!(version, STB_VERSION | STB_VERSION_2 | STB_VERSION_3) {
@@ -1451,7 +1156,7 @@ impl StbAssembler {
             for field in fields.iter_mut().take(count) {
                 match or_need_more(read_varint(bytes, &mut pos, base, "header hint"), eof)? {
                     Some(v) => *field = v,
-                    None => return Ok(Advance::NeedMore),
+                    None => return Ok(Advance::NeedMore(1)),
                 }
             }
             Some(StbHint {
@@ -1471,13 +1176,13 @@ impl StbAssembler {
         Ok(Advance::Progress)
     }
 
-    fn advance_chunk(&mut self, eof: bool) -> Result<Advance, StbError> {
+    fn advance_chunk(&mut self, header: StbHeader, eof: bool) -> Result<Advance, StbError> {
         let bytes = &self.buf[self.start..];
         let base = self.consumed;
         let mut pos = 0usize;
         if eof && bytes.is_empty() {
-            // Clean end at a frame boundary without the terminator: the
-            // same strict error `StbReader` raises.
+            // Clean end at a frame boundary without the terminator: be
+            // strict — a truncated recording should not silently pass.
             return Err(StbError::Truncated {
                 offset: base,
                 context: "chunk length (missing end-of-stream terminator)",
@@ -1485,11 +1190,22 @@ impl StbAssembler {
         }
         let Some(len) = or_need_more(read_varint(bytes, &mut pos, base, "chunk length"), eof)?
         else {
-            return Ok(Advance::NeedMore);
+            return Ok(Advance::NeedMore(1));
         };
         if len == 0 {
-            self.done = true;
             self.consume(pos);
+            self.done = true;
+            if let Some(hint) = header.hint {
+                if hint.events != self.position {
+                    return Err(StbError::Corrupt {
+                        offset: self.consumed,
+                        message: format!(
+                            "header hint declares {} events but the stream carries {}",
+                            hint.events, self.position
+                        ),
+                    });
+                }
+            }
             return Ok(Advance::Done);
         }
         if len > self.chunk_cap {
@@ -1504,7 +1220,7 @@ impl StbAssembler {
         let Some(count) =
             or_need_more(read_varint(bytes, &mut pos, base, "chunk event count"), eof)?
         else {
-            return Ok(Advance::NeedMore);
+            return Ok(Advance::NeedMore(1));
         };
         if count == 0 {
             return Err(StbError::Corrupt {
@@ -1515,21 +1231,26 @@ impl StbAssembler {
         check_chunk_count(count, len, base + pos as u64)?;
         let len = len as usize;
         if bytes.len() - pos < len {
-            if eof {
-                return Err(StbError::Truncated {
-                    offset: base + bytes.len() as u64,
-                    context: "chunk payload",
-                });
-            }
-            return Ok(Advance::NeedMore);
+            let end = base + bytes.len() as u64;
+            return need_more(len - (bytes.len() - pos), eof, end, "chunk payload");
         }
-        let payload_base = base + pos as u64;
-        let version = self.header.as_ref().expect("header parsed").version;
-        let mut decoded = Vec::with_capacity(count as usize);
-        decode_chunk(&bytes[pos..pos + len], version, count, payload_base, |e| {
-            decoded.push(e)
-        })?;
-        self.events.extend(decoded);
+        if self.skip {
+            self.skip = false;
+        } else {
+            let queued = self.events.len();
+            self.events.reserve(count as usize);
+            let payload = &bytes[pos..pos + len];
+            if let Err(e) = decode_chunk(
+                payload,
+                header.version,
+                count,
+                base + pos as u64,
+                &mut self.events,
+            ) {
+                self.events.truncate(queued);
+                return Err(e);
+            }
+        }
         self.position += count;
         self.consume(pos + len);
         Ok(Advance::Progress)
@@ -1540,6 +1261,126 @@ fn trailing_error(offset: u64, trailing: usize) -> StbError {
     StbError::Corrupt {
         offset,
         message: format!("{trailing} byte(s) after the end-of-stream terminator"),
+    }
+}
+
+/// A streaming STB decoder: an iterator of [`Event`]s that reads one chunk
+/// at a time, so memory stays bounded by the writer's chunk size however
+/// large the file.
+///
+/// It is the blocking face of [`StbAssembler`]: it reads from its input
+/// exactly the bytes the assembler's next header, frame or payload still
+/// needs. It never reads past the end-of-stream terminator, and after each
+/// chunk its input sits exactly at the next one.
+///
+/// The reader performs no trace validation — feed its events to an analysis
+/// `Session` (which validates the stream) or to a
+/// [`TraceBuilder`]. The eager [`read_stb`] wrapper
+/// does the latter for you.
+///
+/// # Examples
+///
+/// ```
+/// use smarttrack_trace::{binary, paper};
+///
+/// let bytes = binary::to_stb_bytes(&paper::figure1());
+/// let mut reader = binary::StbReader::new(&bytes[..])?;
+/// assert_eq!(reader.header().hint.unwrap().events, 8);
+/// let first = reader.next().unwrap()?;
+/// assert_eq!(first.to_string(), "T0:rd(x0)");
+/// # Ok::<(), smarttrack_trace::binary::StbError>(())
+/// ```
+pub struct StbReader<R: Read> {
+    input: R,
+    asm: StbAssembler,
+}
+
+impl<R: Read> StbReader<R> {
+    /// Reads and checks the STB header, leaving the reader positioned at
+    /// the first chunk.
+    ///
+    /// # Errors
+    ///
+    /// [`StbError::BadMagic`] / [`StbError::UnsupportedVersion`] /
+    /// [`StbError::UnknownFlags`] for foreign or future inputs,
+    /// [`StbError::Truncated`] if the input ends inside the header.
+    pub fn new(input: R) -> Result<Self, StbError> {
+        let mut reader = StbReader {
+            input,
+            asm: StbAssembler::new(),
+        };
+        while reader.asm.header.is_none() {
+            reader.pull()?;
+        }
+        Ok(reader)
+    }
+
+    /// The decoded header.
+    pub fn header(&self) -> &StbHeader {
+        self.asm.header.as_ref().expect("new parsed the header")
+    }
+
+    /// Number of events decoded (yielded or skipped) so far.
+    pub fn position(&self) -> u64 {
+        self.asm.position - self.asm.events.len() as u64
+    }
+
+    /// Reads the bytes the assembler needs next and parses them; at end of
+    /// input, the assembler's precise truncation error.
+    fn pull(&mut self) -> Result<(), StbError> {
+        let need = self.asm.need;
+        match (&mut self.input)
+            .take(need as u64)
+            .read_to_end(&mut self.asm.buf)
+        {
+            Ok(read) => self.asm.parse(read < need),
+            Err(e) => self.asm.poison(StbError::Io(e)),
+        }
+    }
+
+    /// Skips the next whole chunk without decoding its events (any events
+    /// already buffered from the current chunk are dropped first). Returns
+    /// the number of events skipped, or `None` at end of stream.
+    ///
+    /// Skipping is sound because every chunk's delta state is
+    /// self-contained; it is how a consumer seeks coarsely into a long
+    /// recording (e.g. to resume a windowed analysis).
+    ///
+    /// # Errors
+    ///
+    /// Frame-level errors only, including a header hint the terminator
+    /// contradicts — the skipped payload is not validated.
+    pub fn skip_chunk(&mut self) -> Result<Option<u64>, StbError> {
+        let queued = self.asm.events.len() as u64;
+        if queued > 0 {
+            self.asm.events.clear();
+            return Ok(Some(queued));
+        }
+        let before = self.asm.position;
+        self.asm.skip = true;
+        while self.asm.skip && !self.asm.done && !self.asm.poisoned {
+            self.pull()?;
+        }
+        // Every chunk declares at least one event.
+        Ok((self.asm.position > before).then(|| self.asm.position - before))
+    }
+}
+
+impl<R: Read> Iterator for StbReader<R> {
+    type Item = Result<Event, StbError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(event) = self.asm.events.pop_front() {
+                return Some(Ok(event));
+            }
+            if self.asm.done || self.asm.poisoned {
+                return None;
+            }
+            if let Err(e) = self.pull() {
+                return Some(Err(e));
+            }
+        }
     }
 }
 
@@ -1583,22 +1424,9 @@ pub fn write_stb<W: Write>(trace: &Trace, out: W) -> io::Result<W> {
 /// Decode errors as [`StbError`]; [`StbError::Malformed`] if the decoded
 /// events violate trace well-formedness.
 pub fn read_stb<R: Read>(input: R) -> Result<Trace, StbError> {
-    let mut reader = StbReader::new(input)?;
     let mut builder = TraceBuilder::new();
-    for event in &mut reader {
+    for event in StbReader::new(input)? {
         builder.push_event(event?)?;
-    }
-    if let Some(hint) = reader.header().hint {
-        if hint.events != builder.len() as u64 {
-            return Err(StbError::Corrupt {
-                offset: reader.input.offset(),
-                message: format!(
-                    "header hint declares {} events but the stream carries {}",
-                    hint.events,
-                    builder.len()
-                ),
-            });
-        }
     }
     Ok(builder.finish())
 }

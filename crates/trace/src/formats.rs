@@ -522,6 +522,52 @@ pub fn read_file<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Trace> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
+/// A trace file opened by [`open_file`].
+pub enum TraceSource {
+    /// All events in memory, as every text format requires.
+    Whole(Trace),
+    /// A chunk-at-a-time STB stream whose header has been read, so its
+    /// hint can pre-size an analysis before the first event.
+    Stb(crate::binary::StbReader<std::io::BufReader<std::fs::File>>),
+}
+
+/// Opens a trace file in `format`, or else in the format its first bytes
+/// ([`sniff`]) or, failing that, its extension ([`format_of_path`]) name.
+/// STB comes back as a stream, never materialized; every other format is
+/// parsed whole. The file is opened exactly once — the sniff probe seeks
+/// back rather than reopening, so format decision and data come from the
+/// same file version.
+///
+/// # Errors
+///
+/// The outer error is an I/O failure. The inner one means the file is not
+/// a trace in its format: a bad STB header as [`FormatError::Binary`], a
+/// text parse failure as the other variants.
+pub fn open_file<P: AsRef<std::path::Path>>(
+    path: P,
+    format: Option<TraceFormat>,
+) -> std::io::Result<Result<TraceSource, FormatError>> {
+    use std::io::{Read as _, Seek as _, SeekFrom};
+
+    let mut file = std::fs::File::open(&path)?;
+    let format = match format {
+        Some(format) => format,
+        None => {
+            let mut probe = Vec::with_capacity(4);
+            (&file).take(4).read_to_end(&mut probe)?;
+            file.seek(SeekFrom::Start(0))?;
+            sniff(&probe).unwrap_or_else(|| format_of_path(&path))
+        }
+    };
+    if format == TraceFormat::Stb {
+        let reader = crate::binary::StbReader::new(std::io::BufReader::new(file));
+        return Ok(reader.map(TraceSource::Stb).map_err(FormatError::from));
+    }
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(parse_bytes(&bytes, format).map(TraceSource::Whole))
+}
+
 /// Writes a trace file in the format chosen by the path's extension
 /// ([`format_of_path`]); the inverse of [`read_file`].
 ///

@@ -186,6 +186,37 @@ fn stb_binary_pipeline() {
         .collect();
     let err = run(&args, &mut out).unwrap_err();
     assert!(err.to_string().contains("truncated"), "{err}");
+
+    // A stream whose header hint declares one event more, or one fewer,
+    // than it carries is corrupt for every command, not just `convert`.
+    use smarttrack_trace::binary::{read_stb_file, StbHint, StbWriter};
+    let trace = read_stb_file(&stb.0).unwrap();
+    for declared in [trace.len() + 1, trace.len() - 1] {
+        let hint = StbHint {
+            events: declared as u64,
+            ..StbHint::of_trace(&trace)
+        };
+        let mut writer = StbWriter::with_hint(Vec::new(), hint);
+        for event in trace.events() {
+            writer.write(event).unwrap();
+        }
+        let lying = TempFile::new(&format!("xalan-hint-{declared}"));
+        std::fs::write(&lying.0, writer.finish().unwrap()).unwrap();
+        let lying_path = lying.as_str();
+        for command in [
+            &["analyze", &lying_path][..],
+            &["stats", &lying_path],
+            &["two-phase", &lying_path, "--relation", "dc"],
+        ] {
+            let args: Vec<String> = command.iter().map(|s| s.to_string()).collect();
+            let err = run(&args, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{command:?}: {err}");
+            assert!(
+                err.to_string().contains("header hint declares"),
+                "{command:?}: {err}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -20,7 +20,6 @@
 //! that means to keep the metadata representation shows that it did.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use smarttrack_detect::{
     analyze, run_detector, AnalysisConfig, Detector, FtoCase, FtoCaseCounters, Report,
@@ -32,6 +31,10 @@ use smarttrack_parallel::{
 use smarttrack_trace::gen::RandomTraceSpec;
 use smarttrack_trace::{paper, Trace};
 use smarttrack_workloads::profiles;
+
+#[path = "support/golden.rs"]
+mod golden;
+use golden::assert_matches_golden;
 
 const GOLDEN: &str = "tests/golden/report_digest.txt";
 const FOOTPRINT_GOLDEN: &str = "tests/golden/footprint_digest.txt";
@@ -185,40 +188,6 @@ fn footprint_lines() -> Vec<String> {
         lines.push(footprint_line(&name, rr.name(), &summary));
     }
     lines
-}
-
-/// Compares `computed` with the committed golden file at `golden`; on a
-/// mismatch prints every computed line and panics at the first difference.
-fn assert_matches_golden(computed: &[String], golden: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
-    let text = std::fs::read_to_string(&path).unwrap_or_default();
-    let expected: Vec<&str> = text.lines().collect();
-    if computed
-        .iter()
-        .map(String::as_str)
-        .eq(expected.iter().copied())
-    {
-        return;
-    }
-    eprintln!("---- computed {golden} ({} lines) ----", computed.len());
-    for l in computed {
-        eprintln!("{l}");
-    }
-    eprintln!("---- end of computed {golden} ----");
-    let first_diff = computed
-        .iter()
-        .zip(expected.iter())
-        .position(|(c, e)| c != e)
-        .unwrap_or(computed.len().min(expected.len()));
-    panic!(
-        "digest differs from {golden} at line {}: computed {:?}, golden {:?} \
-         ({} computed lines, {} golden lines)",
-        first_diff + 1,
-        computed.get(first_diff),
-        expected.get(first_diff),
-        computed.len(),
-        expected.len()
-    );
 }
 
 #[test]

@@ -376,6 +376,45 @@ fn corrupt_stb_payload_fails_the_session_not_the_server() {
 }
 
 #[test]
+fn contradicting_stb_hint_fails_the_session_not_the_server() {
+    use smarttrack_serve::{protocol::ErrorCode, ClientError};
+    use smarttrack_trace::binary::{StbHint, StbWriter};
+    let server = test_server();
+    let trace = smarttrack_trace::gen::RandomTraceSpec::default().generate(3);
+    for declared in [trace.len() + 1, trace.len() - 1] {
+        let hint = StbHint {
+            events: declared as u64,
+            ..StbHint::of_trace(&trace)
+        };
+        let mut writer = StbWriter::with_hint(Vec::new(), hint);
+        for event in trace.events() {
+            writer.write(event).unwrap();
+        }
+        let stb = writer.finish().unwrap();
+        let tag = format!("hint-{declared}");
+        let mut client =
+            ServeClient::connect(server.local_addr(), "fuzz", &tag, false).expect("connect");
+        let error = client
+            .send_chunk(&stb)
+            .err()
+            .or_else(|| client.query_snapshot().err())
+            .or_else(|| client.finish().err())
+            .expect("a contradicting hint must fail its session");
+        assert!(
+            matches!(
+                &error,
+                ClientError::Server {
+                    code: ErrorCode::StreamFailed,
+                    ..
+                }
+            ),
+            "{tag}: {error}"
+        );
+        assert_server_live(&server, &tag);
+    }
+}
+
+#[test]
 fn corrupt_stb_on_an_osr_lane_fails_the_session_not_the_server() {
     // The OSR row buffers the whole stream (O(events)) behind the same
     // session ingest path as every other lane, so hostile bytes must die
