@@ -1,14 +1,14 @@
-//! Ablations of the design choices DESIGN.md calls out, plus the §6
-//! related-work baselines.
+//! Ablations of the design choices docs/ARCHITECTURE.md calls out under
+//! "Deviations from the paper", plus the §6 related-work baselines.
 //!
 //! 1. **Rule (b) removal** (the WDC contribution, paper §3): per optimization
 //!    level, the speedup of dropping DC rule (b) — the answer to the paper's
 //!    question "does rule (b) eliminate false races in practice?" is paired
 //!    with its cost here (and with race-count equality in Table 7).
-//! 2. **CCS fidelity** (DESIGN.md §5): Algorithm 3 exactly as printed
+//! 2. **CCS fidelity** (see "CCS fidelity" there): Algorithm 3 exactly as printed
 //!    (`Paper`) vs. the conservative refinements (`Strict`, the default):
 //!    run-time cost and any divergence in reported races.
-//! 3. **Rule (b) queue compaction** (DESIGN.md §5 item 10): the effect of
+//! 3. **Rule (b) queue compaction** (see "Rule (b) queue compaction" there): the effect of
 //!    declaring the thread count up front (the `StreamHint` a detector
 //!    gets at `Detector::begin_stream`), which
 //!    enables prefix compaction of the per-(lock, thread) acquire/release
@@ -96,7 +96,8 @@ pub fn rule_b_cost(cfg: &ExperimentConfig) -> String {
 }
 
 /// Ablation 2: Algorithm-3-verbatim (`Paper`) vs the conservative `Strict`
-/// CCS fidelity (DESIGN.md §5): run time and reported races.
+/// CCS fidelity (docs/ARCHITECTURE.md, "Deviations from the paper"): run time
+/// and reported races.
 pub fn ccs_fidelity(cfg: &ExperimentConfig) -> String {
     let mut out = String::from("Ablation: SmartTrack CCS fidelity (Paper vs Strict)\n");
     let _ = writeln!(
@@ -131,14 +132,15 @@ pub fn ccs_fidelity(cfg: &ExperimentConfig) -> String {
     out.push_str(
         "\n`Strict` costs within noise of `Paper` and reports the same races on\n\
          every workload; the refinements only matter on adversarial corner\n\
-         cases (see DESIGN.md §5, items 4-5).\n",
+         cases (see \"CCS fidelity\" in docs/ARCHITECTURE.md).\n",
     );
     out
 }
 
 /// Ablation 3: rule (b) queue compaction. The whole-trace `StreamHint`
 /// announces the thread count, enabling prefix compaction of the per-(lock, thread)
-/// acquire/release logs (DESIGN.md §5 item 10); without it the logs must be
+/// acquire/release logs (docs/ARCHITECTURE.md, "Deviations from the paper":
+/// rule (b) queue compaction); without it the logs must be
 /// retained for threads that might still appear.
 pub fn queue_compaction(cfg: &ExperimentConfig) -> String {
     let mut out =

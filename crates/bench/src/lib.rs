@@ -2,14 +2,15 @@
 //! (§5, Tables 2–7 and Appendix Tables 8–12) on the synthetic DaCapo-style
 //! workloads.
 //!
-//! Methodology mapping (see DESIGN.md for the full substitution table):
+//! Methodology mapping (see "Methodology substitutions" under "Deviations
+//! from the paper" in docs/ARCHITECTURE.md for the full substitution table):
 //!
 //! * *slowdown vs. uninstrumented execution* → analysis wall-clock time
 //!   divided by the time of a null pass over the same trace (the
 //!   "uninstrumented" event stream). Absolute factors differ from the
 //!   paper's (a JVM executes real work between events; our baseline is
 //!   nearly free), but the *ratios between analyses* — the paper's actual
-//!   claims — carry over and are what `EXPERIMENTS.md` compares.
+//!   claims — carry over and are what the `repro` tables compare.
 //! * *memory vs. uninstrumented execution* → peak analysis metadata bytes
 //!   divided by the trace-representation bytes.
 //! * *10 trials, 95% confidence intervals* → configurable trials over

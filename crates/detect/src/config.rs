@@ -346,6 +346,59 @@ mod tests {
         assert!("osr".parse::<AnalysisConfig>().is_ok());
     }
 
+    /// The CLI-facing config plumbing: parse, display, availability, listing.
+    #[test]
+    fn syncp_config_round_trips() {
+        let config: AnalysisConfig = "syncp".parse().expect("syncp parses");
+        assert_eq!(
+            config,
+            AnalysisConfig::new(Relation::SyncP, OptLevel::Unopt)
+        );
+        assert_eq!(config.to_string(), "SyncP");
+        assert_eq!("SyncP".parse::<AnalysisConfig>().unwrap(), config);
+        assert_eq!("sync-preserving".parse::<AnalysisConfig>().unwrap(), config);
+        assert!(config.is_available());
+        assert!(
+            !AnalysisConfig::table1().contains(&config),
+            "SyncP is not a Table 1 cell"
+        );
+        assert!(
+            AnalysisConfig::extended().contains(&config),
+            "extended listing carries the SyncP row"
+        );
+        assert!(
+            "syncp+g".parse::<AnalysisConfig>().is_err(),
+            "no graph variant"
+        );
+    }
+
+    /// The CLI-facing config plumbing: parse, display, availability, listing,
+    /// and the targeted `osr+g` rejection.
+    #[test]
+    fn osr_config_round_trips() {
+        let config: AnalysisConfig = "osr".parse().expect("osr parses");
+        assert_eq!(config, AnalysisConfig::new(Relation::Osr, OptLevel::Unopt));
+        assert_eq!(config.to_string(), "OSR");
+        assert_eq!("OSR".parse::<AnalysisConfig>().unwrap(), config);
+        assert_eq!("sync-reversal".parse::<AnalysisConfig>().unwrap(), config);
+        assert!(config.is_available());
+        assert!(
+            !AnalysisConfig::table1().contains(&config),
+            "OSR is not a Table 1 cell"
+        );
+        assert!(
+            AnalysisConfig::extended().contains(&config),
+            "extended listing carries the OSR row"
+        );
+        let err = "osr+g"
+            .parse::<AnalysisConfig>()
+            .expect_err("no graph variant");
+        assert!(
+            err.to_string().contains("no graph-recording"),
+            "rejection must explain itself: {err}"
+        );
+    }
+
     #[test]
     fn extended_rows_display_and_round_trip() {
         let extended = AnalysisConfig::extended();

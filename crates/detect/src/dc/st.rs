@@ -198,7 +198,8 @@ mod fidelity_corner_tests {
         LockId::new(i)
     }
 
-    /// The adversarial execution behind DESIGN.md §5 item 5: verbatim
+    /// The adversarial execution behind the second CCS fidelity refinement
+    /// (docs/ARCHITECTURE.md, "Deviations from the paper"): verbatim
     /// Algorithm 3 skips the `Lwx` `MultiCheck` in [Read Shared Owned], which
     /// here loses the rule (a) ordering `rel(m)ᵀ⁰ ≺ rd(x)ᵀ¹` — the only path
     /// carrying T0's `wr(y)` to T2 — producing a false WDC-race on `y` that

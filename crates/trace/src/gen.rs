@@ -15,8 +15,14 @@ use crate::{BarrierId, CondId, Loc, LockId, Op, Trace, TraceBuilder, VarId};
 
 /// Parameters for random trace generation.
 ///
-/// All probabilities are per *step decision*; the remaining probability mass
-/// goes to plain reads/writes.
+/// All probabilities are per *step decision*: one roll is tested against
+/// their running sum, branch by branch in field order, and the remaining
+/// probability mass goes to plain reads/writes. A family whose object count
+/// is zero (no locks, no volatiles, no condvars, no barriers, no rwlocks)
+/// never fires, but a roll in its interval falls through to the next
+/// branch, not to the accesses: only the mass above the running sum through
+/// the last enabled family is left for reads and writes (see
+/// [`generate`](RandomTraceSpec::generate)).
 ///
 /// # Examples
 ///
@@ -169,25 +175,58 @@ impl RandomTraceSpec {
     /// oracle-checkable rwlock traces.
     pub fn tiny_rw() -> Self {
         RandomTraceSpec {
+            acquire_prob: 0.12,
+            release_prob: 0.18,
             rwlocks: 2,
-            rw_read_prob: 0.18,
-            rw_write_prob: 0.10,
-            rw_release_prob: 0.30,
-            try_fail_prob: 0.05,
+            rw_read_prob: 0.12,
+            rw_write_prob: 0.06,
+            rw_release_prob: 0.20,
+            try_fail_prob: 0.03,
             ..RandomTraceSpec::tiny()
         }
+    }
+
+    /// The step probability the sync branches can take: the running sum of
+    /// the branch probabilities through the last family whose object count
+    /// is non-zero, disabled families before it included (a roll in their
+    /// interval falls through to the next branch).
+    fn sync_mass(&self) -> f64 {
+        let rw = self.rw_read_prob + self.rw_write_prob + self.rw_release_prob + self.try_fail_prob;
+        let families = [
+            (self.locks, self.acquire_prob + self.release_prob),
+            (self.volatiles, self.volatile_prob),
+            (self.condvars, self.condvar_prob),
+            (self.barriers, self.barrier_prob),
+            (self.rwlocks, rw),
+        ];
+        let (mut running, mut mass) = (0.0, 0.0);
+        for (count, prob) in families {
+            running += prob;
+            if count > 0 {
+                mass = running;
+            }
+        }
+        mass
     }
 
     /// Generates a well-formed trace deterministically from `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or (`vars == 0` while `events > 0`).
+    /// Panics if `threads == 0`, if `vars == 0` while `events > 0`, or if
+    /// the running sum of the branch probabilities through the last family
+    /// whose object count is non-zero reaches 1 — such a spec would leave
+    /// plain reads and writes no mass.
     pub fn generate(&self, seed: u64) -> Trace {
         assert!(self.threads > 0, "need at least one thread");
         assert!(
             self.vars > 0 || self.events == 0,
             "need at least one variable"
+        );
+        let sync_mass = self.sync_mass();
+        assert!(
+            sync_mass < 1.0,
+            "sync branch probabilities reach {sync_mass} in the roll, leaving reads and writes no mass"
         );
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_5eed_0000_0000);
         let mut b = TraceBuilder::new();
@@ -548,6 +587,67 @@ mod tests {
         for seed in 0..10 {
             assert_eq!(plain.generate(seed), with_idle_rwlocks.generate(seed));
         }
+    }
+
+    #[test]
+    fn presets_emit_reads_and_writes() {
+        // Sync-heavy presets may leave a rare trace without accesses, so
+        // the bar is per sample: nine in ten of the first 50 traces access
+        // a variable, and reads and writes each show up in most of them.
+        for (name, spec) in [
+            ("default", RandomTraceSpec::default()),
+            ("tiny", RandomTraceSpec::tiny()),
+            ("tiny_sync", RandomTraceSpec::tiny_sync()),
+            ("tiny_rw", RandomTraceSpec::tiny_rw()),
+        ] {
+            let (mut reads, mut writes, mut accesses) = (0, 0, 0);
+            for seed in 0..50 {
+                let tr = spec.generate(seed);
+                let read = tr.events().iter().any(|e| matches!(e.op, Op::Read(_)));
+                let write = tr.events().iter().any(|e| matches!(e.op, Op::Write(_)));
+                reads += usize::from(read);
+                writes += usize::from(write);
+                accesses += usize::from(read || write);
+            }
+            let counts = format!("{accesses} access, {reads} read, {writes} write");
+            assert!(
+                accesses >= 45 && reads >= 25 && writes >= 25,
+                "{name}: {counts}"
+            );
+        }
+    }
+
+    #[test]
+    fn enabled_probabilities_summing_to_one_panic() {
+        let panics = |spec: RandomTraceSpec| {
+            let result = std::panic::catch_unwind(|| spec.generate(0));
+            let message = result.expect_err("the spec must panic");
+            let message = message
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(
+                message.contains("leaving reads and writes no mass"),
+                "{message}"
+            );
+        };
+        panics(RandomTraceSpec {
+            rwlocks: 1,
+            acquire_prob: 0.4,
+            release_prob: 0.4,
+            rw_read_prob: 0.1,
+            rw_release_prob: 0.1,
+            ..RandomTraceSpec::tiny()
+        });
+        // With no plain locks the lock branches never fire, but their 0.6
+        // still sits below the rwlock branches in the roll.
+        panics(RandomTraceSpec {
+            locks: 0,
+            rwlocks: 2,
+            rw_read_prob: 0.2,
+            rw_write_prob: 0.1,
+            rw_release_prob: 0.2,
+            ..RandomTraceSpec::tiny()
+        });
     }
 
     #[test]

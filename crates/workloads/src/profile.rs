@@ -87,7 +87,8 @@ impl Workload {
 /// The ten profiles with the paper's Table 2 numbers and Table 7-derived
 /// race mixes (using the `Unopt-` column's statically distinct races, made
 /// monotone across relations where run-to-run variation in the paper broke
-/// monotonicity — see DESIGN.md).
+/// monotonicity — see "Profile calibration monotonicity" in
+/// docs/ARCHITECTURE.md).
 pub mod profiles {
     use super::*;
 
@@ -164,7 +165,7 @@ pub mod profiles {
     /// Figure 2 pattern that separates DC from WCP needs three threads, which
     /// jython does not have, so this profile folds those sites into the
     /// two-thread predictive pattern (expected counts: HB 21, WCP/DC/WDC 22;
-    /// see EXPERIMENTS.md).
+    /// see "Profile calibration monotonicity" in docs/ARCHITECTURE.md).
     pub fn jython() -> Workload {
         Workload {
             name: "jython",

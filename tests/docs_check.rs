@@ -1,7 +1,8 @@
 //! Documentation cross-checks: every `smarttrack <subcommand>` invocation
 //! inside a code fence of `docs/*.md` must name a real CLI subcommand, so
-//! the prose cannot drift from the binary. CI runs this explicitly next to
-//! `cargo doc` (see `.github/workflows/ci.yml`).
+//! the prose cannot drift from the binary, and every markdown file a source
+//! comment cites must exist. CI runs this explicitly next to `cargo doc`
+//! (see `.github/workflows/ci.yml`).
 
 use std::path::{Path, PathBuf};
 
@@ -137,16 +138,23 @@ fn docs_exist_and_cover_every_format() {
         "StbReader",
         "acqr",
         "read section",
-        "rwlock_differential",
         "rwmix",
         "SyncP",
         "sync-preserving",
-        "syncp_differential",
         "OSR",
         "abort-and-commit",
         "validate_reversal_witness",
         "LockOrderReversed",
-        "osr_differential",
+        "tests/differential.rs",
+        "tests/support/differential.rs",
+        "path equivalence",
+        "level agreement",
+        "inclusion chains",
+        "witness validity",
+        "oracle soundness",
+        "streaming ≡ offline",
+        "known answers",
+        "Deviations from the paper",
         "FtoVar",
         "StVar",
         "OnlineRow",
@@ -220,4 +228,57 @@ fn serve_and_load_help_cover_their_knobs() {
             );
         }
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A source comment that names a markdown file must name one that exists,
+/// from the repository root or from the commenting file's directory (a
+/// link's `…/blob/<branch>/` prefix is dropped first).
+#[test]
+fn source_comments_name_existing_markdown_files() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let is_name = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let mut checked = 0;
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        let comments = text.lines().enumerate();
+        for (i, line) in comments.filter(|(_, l)| l.trim_start().starts_with("//")) {
+            for (at, _) in line.match_indices(".md") {
+                let rest = &line[at + 3..];
+                let start = line[..at].rfind(|c| !is_name(c)).map_or(0, |p| p + 1);
+                // Skip longer extensions (`.mdx`) and globs (`docs/*.md`).
+                if (rest.starts_with(is_name) && !rest.starts_with('.')) || start == at {
+                    continue;
+                }
+                let cited = &line[start..at + 3];
+                let cited = match cited.rsplit_once("/blob/") {
+                    Some((_, url)) => url.split_once('/').map_or(url, |(_, path)| path),
+                    None => cited,
+                };
+                let dir = file.parent().expect("a file has a directory");
+                let exists = root.join(cited).is_file() || dir.join(cited).is_file();
+                assert!(exists, "{}:{}: no such file {cited}", file.display(), i + 1);
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked > 0,
+        "no comment cites a markdown file: the check is vacuous"
+    );
 }

@@ -1,160 +1,17 @@
-//! The `Engine`/`Session` API computes exactly what the legacy whole-trace
-//! entry points compute, however events are ingested.
+//! The engine's ingestion styles reproduce `run_detector`: `feed`,
+//! `feed_batch` and `feed_trace` sessions on the paper figures, calibrated
+//! profiles and random traces, and a fan-out session whose race sink must
+//! deliver exactly the final reports' races.
 //!
-//! For every available Table 1 cell, on every paper figure and on
-//! randomized workload traces:
-//!
-//! * `feed` one event at a time ≡ `feed_batch` of the whole stream ≡
-//!   `feed_trace` ≡ legacy `analyze` — same `Report` (hence the same
-//!   dynamic races) and the same statically distinct race count;
-//! * one single-pass fan-out session over all cells ≡ one session per cell
-//!   (fan-out lanes do not interfere);
-//! * race sinks deliver exactly the races of the final report, in order.
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{analyze, AnalysisConfig, Engine, RaceNotice, Report};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{paper, Trace};
+#[path = "support/differential.rs"]
+mod harness;
 
-/// Runs one config over the trace through a session, with the given
-/// ingestion style: 0 = feed one at a time, 1 = one feed_batch, 2 =
-/// feed_trace.
-fn session_report(trace: &Trace, config: AnalysisConfig, style: usize) -> Report {
-    let engine = Engine::for_config(config).expect("valid Table 1 cell");
-    let mut session = engine.open();
-    match style {
-        0 => {
-            for &event in trace.events() {
-                session.feed(event).expect("well-formed event");
-            }
-        }
-        1 => session
-            .feed_batch(trace.events())
-            .expect("well-formed batch"),
-        _ => session.feed_trace(trace).expect("well-formed trace"),
-    }
-    session.finish_one().report
-}
-
-fn assert_all_styles_match(trace: &Trace, label: &str) {
-    let fanout_engine = Engine::builder().table1().build().unwrap();
-    let mut fanout = fanout_engine.open();
-    fanout.feed_trace(trace).expect("well-formed trace");
-    let fanout_outcomes = fanout.finish();
-    assert_eq!(fanout_outcomes.len(), AnalysisConfig::table1().len());
-
-    for (config, fanned) in AnalysisConfig::table1().into_iter().zip(fanout_outcomes) {
-        let legacy = analyze(trace, config);
-        assert_eq!(legacy.config, config);
-        assert_eq!(
-            fanned.config, config,
-            "{label}: fan-out preserves lane order"
-        );
-        for style in 0..3 {
-            let report = session_report(trace, config, style);
-            assert_eq!(
-                report, legacy.report,
-                "{label}: {config} ingestion style {style} diverged from analyze()"
-            );
-        }
-        assert_eq!(
-            fanned.report, legacy.report,
-            "{label}: {config} fan-out lane diverged from solo analysis"
-        );
-        assert_eq!(
-            fanned.report.static_count(),
-            legacy.report.static_count(),
-            "{label}: {config} statically distinct races diverged"
-        );
-    }
-}
-
-#[test]
-fn all_paper_figures_agree_across_ingestion_styles() {
-    for (name, trace) in paper::all_figures() {
-        assert_all_styles_match(&trace, name);
-    }
-}
-
-#[test]
-fn sink_delivery_matches_final_report() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    for (name, trace) in paper::all_figures() {
-        let engine = Engine::builder().table1().build().unwrap();
-        let mut session = engine.open();
-        let seen: Rc<RefCell<Vec<(String, u32)>>> = Rc::default();
-        let seen2 = Rc::clone(&seen);
-        session.set_sink(move |notice: &RaceNotice<'_>| {
-            seen2
-                .borrow_mut()
-                .push((notice.analysis.to_string(), notice.race.event.raw()));
-        });
-        session.feed_trace(&trace).unwrap();
-        let outcomes = session.finish();
-
-        let mut expected = Vec::new();
-        for outcome in &outcomes {
-            for race in outcome.report.races() {
-                expected.push((outcome.name.clone(), race.event.raw()));
-            }
-        }
-        let mut delivered = seen.borrow().clone();
-        // Sink order is (event, lane), expected order is (lane, event);
-        // compare as sets-with-multiplicity.
-        delivered.sort();
-        expected.sort();
-        assert_eq!(delivered, expected, "{name}");
-    }
-}
-
-fn arb_workload() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (
-        2u32..5,       // threads
-        60usize..300,  // events
-        2u32..6,       // vars
-        1u32..4,       // locks
-        any::<u64>(),  // seed
-        any::<bool>(), // fork_join
-    )
-        .prop_map(|(threads, events, vars, locks, seed, fork_join)| {
-            (
-                RandomTraceSpec {
-                    threads,
-                    events,
-                    vars,
-                    locks,
-                    acquire_prob: 0.18,
-                    release_prob: 0.22,
-                    fork_join,
-                    ..RandomTraceSpec::default()
-                },
-                seed,
-            )
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn randomized_traces_agree_across_ingestion_styles((spec, seed) in arb_workload()) {
-        let trace = spec.generate(seed);
-        assert_all_styles_match(&trace, "random");
-    }
-}
-
-#[test]
-fn calibrated_workload_traces_agree_across_ingestion_styles() {
-    for (i, workload) in [
-        smarttrack_workloads::profiles::xalan(),
-        smarttrack_workloads::profiles::avrora(),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let trace = workload.trace(1e-6, 7 + i as u64);
-        assert_all_styles_match(&trace, workload.name);
-    }
-}
+harness::slices!(
+    all_paper_figures_agree_across_ingestion_styles,
+    calibrated_workload_traces_agree_across_ingestion_styles,
+    randomized_traces_agree_across_ingestion_styles,
+    sink_delivery_matches_final_report,
+);

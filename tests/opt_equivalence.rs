@@ -1,216 +1,17 @@
-//! Differential battery pinning the analyses across optimization levels and
-//! ingestion paths — the guard rail for the hot-path metadata overhaul.
+//! SmartTrack's optimizations change cost, not races (§5.1): the rows of
+//! one relation agree up to the first race on the known-answer table,
+//! calibrated profiles and random traces, and graph-recording cells equal
+//! their plain twins bit for bit.
 //!
-//! Two families of properties, checked on the paper figures, proptest-random
-//! traces, and the calibrated workloads:
-//!
-//! 1. **Path equivalence (the refactor pin).** For every available Table 1
-//!    cell, the direct [`run_detector`] driver (no session, no interner),
-//!    per-event `feed`, whole-stream `feed_batch`, and the legacy
-//!    [`analyze`] wrapper produce *bit-identical* [`Report`]s and the same
-//!    statically-distinct race count. Any divergence introduced by the dense
-//!    state tables, the session interner, or the small-size clock shows up
-//!    here first.
-//!
-//! 2. **Cross-level agreement.** All optimization levels of one relation
-//!    (Unopt / FT2 / FTO / SmartTrack) detect the *same first race* — and on
-//!    the trace truncated just after that first race, their full reports are
-//!    bit-identical (same event, location, threads, kind, and prior-thread
-//!    set). Full-trace reports intentionally diverge *after* the first race:
-//!    epoch/ownership metadata degrades differently from vector clocks once
-//!    racing accesses have been absorbed (the paper's §5.4 analyses keep
-//!    running after a race, but their subsequent counts are
-//!    representation-dependent), so demanding whole-trace equality across
-//!    levels would over-specify. Race-free traces must agree exactly at
-//!    every level.
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{analyze, run_detector, AnalysisConfig, Engine, OptLevel, Relation, Report};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{paper, Trace, TraceBuilder};
+#[path = "support/differential.rs"]
+mod harness;
 
-/// The optimization levels available for one relation (Table 1 row).
-fn levels(relation: Relation) -> Vec<OptLevel> {
-    match relation {
-        Relation::Hb => vec![OptLevel::Unopt, OptLevel::Epochs, OptLevel::Fto],
-        _ => vec![OptLevel::Unopt, OptLevel::Fto, OptLevel::SmartTrack],
-    }
-}
-
-/// Runs `config` over `trace` through every ingestion path, asserts they all
-/// produce bit-identical reports, and returns that report.
-fn pinned_report(trace: &Trace, config: AnalysisConfig, label: &str) -> Report {
-    // Direct whole-trace driver: no session wrapper, raw (un-interned) ids.
-    let mut det = config.detector().expect("valid Table 1 cell");
-    run_detector(det.as_mut(), trace);
-    let direct = det.report().clone();
-
-    // Legacy one-shot wrapper (session-backed since PR 1).
-    let legacy = analyze(trace, config);
-    assert_eq!(
-        legacy.report, direct,
-        "{label}: {config} analyze() diverged from run_detector()"
-    );
-
-    // Streaming session, one event at a time.
-    let engine = Engine::for_config(config).expect("valid Table 1 cell");
-    let mut session = engine.open();
-    for &event in trace.events() {
-        session.feed(event).expect("well-formed event");
-    }
-    let fed = session.finish_one().report;
-    assert_eq!(
-        fed, direct,
-        "{label}: {config} per-event feed diverged from run_detector()"
-    );
-
-    // Streaming session, whole batch.
-    let mut session = engine.open();
-    session.feed_batch(trace.events()).expect("well-formed");
-    let batched = session.finish_one().report;
-    assert_eq!(
-        batched, direct,
-        "{label}: {config} feed_batch diverged from run_detector()"
-    );
-
-    assert_eq!(
-        legacy.report.static_count(),
-        direct.static_count(),
-        "{label}: {config} statically-distinct counts diverged"
-    );
-    direct
-}
-
-/// The trace prefix holding the first `events` events.
-fn truncated(trace: &Trace, events: usize) -> Trace {
-    let mut b = TraceBuilder::new();
-    for ev in &trace.events()[..events] {
-        b.push_event(*ev).expect("prefix of a valid trace is valid");
-    }
-    b.finish()
-}
-
-/// Checks both property families for every cell of one relation.
-fn assert_levels_agree(trace: &Trace, relation: Relation, label: &str) {
-    let reports: Vec<(OptLevel, Report)> = levels(relation)
-        .into_iter()
-        .map(|level| {
-            let config = AnalysisConfig::new(relation, level);
-            (level, pinned_report(trace, config, label))
-        })
-        .collect();
-
-    let (base_level, base) = &reports[0];
-    for (level, report) in &reports[1..] {
-        assert_eq!(
-            report.first_race_event(),
-            base.first_race_event(),
-            "{label}: {relation} first race differs between {base_level} and {level}"
-        );
-        if base.is_empty() {
-            assert_eq!(
-                report, base,
-                "{label}: {relation} race-free verdict differs at {level}"
-            );
-        }
-    }
-
-    // Prefix property: truncated just after the first race, every level
-    // reports the identical single race.
-    if let Some(first) = base.first_race_event() {
-        let cut = truncated(trace, first.index() + 1);
-        let mut cut_reports = levels(relation).into_iter().map(|level| {
-            let config = AnalysisConfig::new(relation, level);
-            (level, pinned_report(&cut, config, label))
-        });
-        let (_, cut_base) = cut_reports.next().expect("at least one level");
-        assert_eq!(cut_base.dynamic_count(), 1, "{label}: prefix has one race");
-        for (level, report) in cut_reports {
-            assert_eq!(
-                report, cut_base,
-                "{label}: {relation} prefix report differs at {level}"
-            );
-        }
-    }
-}
-
-fn assert_all_relations_agree(trace: &Trace, label: &str) {
-    for relation in Relation::ALL {
-        assert_levels_agree(trace, relation, label);
-    }
-}
-
-#[test]
-fn paper_figures_agree_across_levels_and_paths() {
-    for (name, trace) in paper::all_figures() {
-        assert_all_relations_agree(&trace, name);
-    }
-}
-
-#[test]
-fn calibrated_workloads_agree_across_levels_and_paths() {
-    for (i, workload) in [
-        smarttrack_workloads::profiles::xalan(),
-        smarttrack_workloads::profiles::avrora(),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let trace = workload.trace(1e-6, 21 + i as u64);
-        assert_all_relations_agree(&trace, workload.name);
-    }
-}
-
-/// Graph-recording Unopt variants ride the same ingestion paths; pin them
-/// too (they share the dense tables with their plain siblings).
-#[test]
-fn graph_variants_match_plain_unopt_reports() {
-    for (name, trace) in paper::all_figures() {
-        for relation in [Relation::Dc, Relation::Wdc] {
-            let plain = AnalysisConfig::new(relation, OptLevel::Unopt);
-            let graph = plain.with_graph();
-            let plain_report = pinned_report(&trace, plain, name);
-            let graph_report = pinned_report(&trace, graph, name);
-            assert_eq!(
-                plain_report, graph_report,
-                "{name}: {relation} graph recording changed the report"
-            );
-        }
-    }
-}
-
-fn arb_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (
-        2u32..5,       // threads
-        80usize..320,  // events
-        2u32..6,       // vars
-        1u32..4,       // locks
-        any::<u64>(),  // seed
-        any::<bool>(), // fork_join
-    )
-        .prop_map(|(threads, events, vars, locks, seed, fork_join)| {
-            (
-                RandomTraceSpec {
-                    threads,
-                    events,
-                    vars,
-                    locks,
-                    acquire_prob: 0.18,
-                    release_prob: 0.22,
-                    fork_join,
-                    ..RandomTraceSpec::default()
-                },
-                seed,
-            )
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn randomized_traces_agree_across_levels_and_paths((spec, seed) in arb_spec()) {
-        let trace = spec.generate(seed);
-        assert_all_relations_agree(&trace, "random");
-    }
-}
+harness::slices!(
+    calibrated_workloads_agree_across_levels_and_paths,
+    graph_variants_match_plain_unopt_reports,
+    paper_figures_agree_across_levels_and_paths,
+    randomized_traces_agree_across_levels_and_paths,
+);

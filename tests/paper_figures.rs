@@ -1,84 +1,16 @@
-//! The ground-truth detection matrix for the paper's example executions:
-//! every Table 1 analysis against every figure, matching the paper's claims
-//! about which relations detect which races.
+//! The paper's figures: every Table-1 cell's detection matrix, Figure 1's
+//! race at the final write to x, race locations across optimization
+//! levels, and static ≤ dynamic race counts.
+//!
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use smarttrack::{analyze_all, Relation};
-use smarttrack_trace::paper;
+#[path = "support/differential.rs"]
+mod harness;
 
-/// Expected detection per figure: the set of relations that report a race.
-fn expected_racy_relations(figure: &str) -> Vec<Relation> {
-    match figure {
-        "figure1" => vec![Relation::Wcp, Relation::Dc, Relation::Wdc],
-        "figure2" => vec![Relation::Dc, Relation::Wdc],
-        "figure3" => vec![Relation::Wdc],
-        _ => vec![], // figures 4a–4d are race-free under every relation
-    }
-}
-
-#[test]
-fn detection_matrix_matches_paper() {
-    for (name, trace) in paper::all_figures() {
-        let expected = expected_racy_relations(name);
-        for outcome in analyze_all(&trace) {
-            let should_race = expected.contains(&outcome.config.relation);
-            assert_eq!(
-                !outcome.report.is_empty(),
-                should_race,
-                "{}: {} expected {}",
-                name,
-                outcome.name,
-                if should_race { "a race" } else { "no race" },
-            );
-        }
-    }
-}
-
-#[test]
-fn race_location_is_stable_across_optimization_levels() {
-    // The paper: "In theory, the analyses handle executions up to the first
-    // race" — all levels of one relation must agree on the first race.
-    for (name, trace) in paper::all_figures() {
-        let outcomes = analyze_all(&trace);
-        for relation in Relation::ALL {
-            let firsts: Vec<_> = outcomes
-                .iter()
-                .filter(|o| o.config.relation == relation)
-                .map(|o| (o.name.clone(), o.report.first_race_event()))
-                .collect();
-            for w in firsts.windows(2) {
-                assert_eq!(
-                    w[0].1, w[1].1,
-                    "{name}: {} vs {} disagree on the first {relation} race",
-                    w[0].0, w[1].0
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn dynamic_and_static_counts_are_consistent() {
-    for (name, trace) in paper::all_figures() {
-        for outcome in analyze_all(&trace) {
-            assert!(
-                outcome.report.static_count() <= outcome.report.dynamic_count(),
-                "{name}/{}: static > dynamic",
-                outcome.name
-            );
-        }
-    }
-}
-
-#[test]
-fn figure1_race_is_on_x_at_the_final_write() {
-    let trace = paper::figure1();
-    for outcome in analyze_all(&trace) {
-        if outcome.config.relation == Relation::Hb {
-            continue;
-        }
-        let races = outcome.report.races();
-        assert_eq!(races.len(), 1, "{}", outcome.name);
-        assert_eq!(races[0].var, paper::X, "{}", outcome.name);
-        assert_eq!(races[0].event.index(), 7, "{}", outcome.name);
-    }
-}
+harness::slices!(
+    detection_matrix_matches_paper,
+    dynamic_and_static_counts_are_consistent,
+    figure1_race_is_on_x_at_the_final_write,
+    race_location_is_stable_across_optimization_levels,
+);

@@ -1,131 +1,16 @@
-//! Property tests for the relation hierarchy (paper §2.4/§3):
-//! HB-races ⊆ WCP-races ⊆ DC-races ⊆ WDC-races, compared up to the first
-//! race per trace (where all analyses are exact).
+//! The relation hierarchy (§2.4, §3): HB ⊆ WCP ⊆ DC ⊆ WDC at the first
+//! race, one relation on lock-free traces, level agreement on tiny traces
+//! and graph recording that changes no report.
+//!
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{analyze, AnalysisConfig, OptLevel, Relation};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{EventId, Trace};
+#[path = "support/differential.rs"]
+mod harness;
 
-fn arb_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (
-        2u32..5,       // threads
-        50usize..400,  // events
-        2u32..8,       // vars
-        1u32..4,       // locks
-        0u32..3,       // volatiles
-        any::<u64>(),  // seed
-        any::<bool>(), // fork_join
-    )
-        .prop_map(
-            |(threads, events, vars, locks, volatiles, seed, fork_join)| {
-                (
-                    RandomTraceSpec {
-                        threads,
-                        events,
-                        vars,
-                        locks,
-                        volatiles,
-                        volatile_prob: if volatiles > 0 { 0.05 } else { 0.0 },
-                        acquire_prob: 0.15,
-                        release_prob: 0.2,
-                        fork_join,
-                        ..RandomTraceSpec::default()
-                    },
-                    seed,
-                )
-            },
-        )
-}
-
-fn first_race(trace: &Trace, relation: Relation, level: OptLevel) -> Option<EventId> {
-    analyze(trace, AnalysisConfig::new(relation, level))
-        .report
-        .first_race_event()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A stronger relation's first race implies the weaker relation races at
-    /// the same event or earlier.
-    #[test]
-    fn race_sets_grow_down_the_hierarchy((spec, seed) in arb_spec()) {
-        let trace = spec.generate(seed);
-        let hb = first_race(&trace, Relation::Hb, OptLevel::Fto);
-        let wcp = first_race(&trace, Relation::Wcp, OptLevel::Unopt);
-        let dc = first_race(&trace, Relation::Dc, OptLevel::Unopt);
-        let wdc = first_race(&trace, Relation::Wdc, OptLevel::Unopt);
-        if let Some(h) = hb {
-            let w = wcp.expect("HB-race implies WCP-race");
-            prop_assert!(w <= h, "WCP first race after HB's ({w:?} > {h:?})");
-        }
-        if let Some(w) = wcp {
-            let d = dc.expect("WCP-race implies DC-race");
-            prop_assert!(d <= w);
-        }
-        if let Some(d) = dc {
-            let wd = wdc.expect("DC-race implies WDC-race");
-            prop_assert!(wd <= d);
-        }
-    }
-
-    /// Every optimization level of one relation detects the same first race.
-    #[test]
-    fn optimization_levels_agree_up_to_first_race((spec, seed) in arb_spec()) {
-        let trace = spec.generate(seed);
-        for relation in [Relation::Wcp, Relation::Dc, Relation::Wdc] {
-            let unopt = first_race(&trace, relation, OptLevel::Unopt);
-            let fto = first_race(&trace, relation, OptLevel::Fto);
-            let st = first_race(&trace, relation, OptLevel::SmartTrack);
-            prop_assert_eq!(unopt, fto, "Unopt vs FTO ({})", relation);
-            prop_assert_eq!(fto, st, "FTO vs ST ({})", relation);
-        }
-        let unopt = first_race(&trace, Relation::Hb, OptLevel::Unopt);
-        let ft2 = first_race(&trace, Relation::Hb, OptLevel::Epochs);
-        let fto = first_race(&trace, Relation::Hb, OptLevel::Fto);
-        prop_assert_eq!(unopt, ft2, "Unopt-HB vs FT2");
-        prop_assert_eq!(ft2, fto, "FT2 vs FTO-HB");
-    }
-
-    /// Graph recording must not change detection.
-    #[test]
-    fn graph_recording_is_observationally_pure((spec, seed) in arb_spec()) {
-        let trace = spec.generate(seed);
-        for relation in [Relation::Dc, Relation::Wdc] {
-            let plain = analyze(&trace, AnalysisConfig::new(relation, OptLevel::Unopt));
-            let with_g = analyze(
-                &trace,
-                AnalysisConfig::new(relation, OptLevel::Unopt).with_graph(),
-            );
-            prop_assert_eq!(plain.report, with_g.report);
-        }
-    }
-
-    /// On lock-free traces every relation degenerates to the same order
-    /// (fork/join + volatiles only): identical first races everywhere.
-    #[test]
-    fn without_locks_all_relations_agree(
-        threads in 2u32..5,
-        events in 40usize..200,
-        seed in any::<u64>(),
-    ) {
-        let spec = RandomTraceSpec {
-            threads,
-            events,
-            locks: 1,
-            acquire_prob: 0.0,
-            release_prob: 0.0,
-            fork_join: true,
-            ..RandomTraceSpec::default()
-        };
-        let trace = spec.generate(seed);
-        let hb = first_race(&trace, Relation::Hb, OptLevel::Fto);
-        for relation in [Relation::Wcp, Relation::Dc, Relation::Wdc] {
-            for level in [OptLevel::Unopt, OptLevel::Fto, OptLevel::SmartTrack] {
-                prop_assert_eq!(hb, first_race(&trace, relation, level),
-                    "{}-{} differs from HB on a lock-free trace", level, relation);
-            }
-        }
-    }
-}
+harness::slices!(
+    graph_recording_is_observationally_pure,
+    optimization_levels_agree_up_to_first_race,
+    race_sets_grow_down_the_hierarchy,
+    without_locks_all_relations_agree,
+);

@@ -1,342 +1,18 @@
-//! Differential fuzz battery for the reader-writer lock event extension —
-//! the pin for the `acqr`/`acqw`/`tryf` op-model change.
+//! Reader-writer locks and failed trylocks: level agreement, STB v3 round
+//! trips, both inclusion chains, witness validity and oracle soundness on
+//! random rwlock traces, and overlapping read sections racing in every
+//! cell.
 //!
-//! Property families, checked on proptest-randomized traces mixing shared
-//! read sections, exclusive write sections, and failed trylocks with every
-//! older op:
-//!
-//! 1. **Path equivalence.** For every Table 1 cell, the direct
-//!    [`run_detector`] driver, per-event `feed`, whole-stream `feed_batch`,
-//!    and the legacy [`analyze`] wrapper produce bit-identical [`Report`]s
-//!    on traces containing the new ops.
-//! 2. **Cross-level agreement.** Every optimization level agrees with its
-//!    Unopt oracle on the first race per cell.
-//! 3. **Relation inclusion.** HB ⊆ WCP ⊆ DC ⊆ WDC (up to the first race)
-//!    with reader/writer sections in play: read-mode acquires weaken some
-//!    edges but do so *consistently* down the hierarchy.
-//! 4. **STB v3 round-trip invariance.** Traces with the new ops encode as
-//!    v3, decode back to the identical trace, and report identically in
-//!    every cell; traces without them still emit their old version byte.
-//! 5. **Codec robustness.** Every single-byte truncation of a stream
-//!    containing every new tag is a precise error; every single-byte bit
-//!    flip either errors or decodes to a well-formed trace — never panics.
-//! 6. **Oracle cross-check.** On tiny rwlock traces, WDC race pairs that
-//!    vindicate produce validating witnesses the exhaustive oracle never
-//!    refutes.
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{analyze, run_detector, AnalysisConfig, Engine, OptLevel, Relation, Report};
-use smarttrack_trace::binary::{
-    from_stb_bytes, to_stb_bytes, StbError, STB_VERSION, STB_VERSION_3,
-};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{paper, LockId, Op, ThreadId, Trace, TraceBuilder, VarId};
-use smarttrack_vindicate::{
-    find_prior_access, validate_witness, vindicate_pair, OracleResult, PredictableRaceOracle,
-    VindicationResult,
-};
+#[path = "support/differential.rs"]
+mod harness;
 
-/// The optimization levels available for one relation (Table 1 row).
-fn levels(relation: Relation) -> Vec<OptLevel> {
-    match relation {
-        Relation::Hb => vec![OptLevel::Unopt, OptLevel::Epochs, OptLevel::Fto],
-        _ => vec![OptLevel::Unopt, OptLevel::Fto, OptLevel::SmartTrack],
-    }
-}
-
-/// True if the trace exercises at least one reader-writer op.
-fn has_rw_ops(trace: &Trace) -> bool {
-    trace
-        .events()
-        .iter()
-        .any(|e| matches!(e.op, Op::AcqRead(_) | Op::AcqWrite(_) | Op::TryAcqFail(_)))
-}
-
-fn rw_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (2u32..5, 40usize..220, any::<u64>()).prop_map(|(threads, events, seed)| {
-        (
-            RandomTraceSpec {
-                threads,
-                events,
-                ..RandomTraceSpec::tiny_rw()
-            },
-            seed,
-        )
-    })
-}
-
-/// Runs `config` over `trace` through every ingestion path, asserts they all
-/// produce bit-identical reports, and returns that report.
-fn pinned_report(trace: &Trace, config: AnalysisConfig, label: &str) -> Report {
-    let mut det = config.detector().expect("valid Table 1 cell");
-    run_detector(det.as_mut(), trace);
-    let direct = det.report().clone();
-
-    let legacy = analyze(trace, config);
-    assert_eq!(
-        legacy.report, direct,
-        "{label}: {config} analyze() diverged from run_detector()"
-    );
-
-    let engine = Engine::for_config(config).expect("valid Table 1 cell");
-    let mut session = engine.open();
-    for &event in trace.events() {
-        session.feed(event).expect("well-formed event");
-    }
-    let fed = session.finish_one().report;
-    assert_eq!(
-        fed, direct,
-        "{label}: {config} per-event feed diverged from run_detector()"
-    );
-
-    let mut session = engine.open();
-    session.feed_batch(trace.events()).expect("well-formed");
-    let batched = session.finish_one().report;
-    assert_eq!(
-        batched, direct,
-        "{label}: {config} feed_batch diverged from run_detector()"
-    );
-    direct
-}
-
-/// A compact trace containing every v3-only op tag (read acquire, write
-/// acquire, failed trylock) plus representative older tags, with genuinely
-/// overlapping read sections.
-fn all_rw_tags_trace() -> Trace {
-    let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
-    let (m, x) = (LockId::new(0), VarId::new(0));
-    let mut b = TraceBuilder::new();
-    b.push(t0, Op::Fork(t1)).unwrap();
-    b.push(t0, Op::AcqWrite(m)).unwrap();
-    b.push(t0, Op::Write(x)).unwrap();
-    b.push(t1, Op::TryAcqFail(m)).unwrap();
-    b.push(t0, Op::Release(m)).unwrap();
-    b.push(t0, Op::AcqRead(m)).unwrap();
-    b.push(t1, Op::AcqRead(m)).unwrap();
-    b.push(t0, Op::Read(x)).unwrap();
-    b.push(t1, Op::Read(x)).unwrap();
-    b.push(t1, Op::Release(m)).unwrap();
-    b.push(t0, Op::Release(m)).unwrap();
-    b.push(t1, Op::Acquire(m)).unwrap();
-    b.push(t1, Op::Write(x)).unwrap();
-    b.push(t1, Op::Release(m)).unwrap();
-    b.push(t0, Op::Join(t1)).unwrap();
-    b.finish()
-}
-
-fn first_race(
-    trace: &Trace,
-    relation: Relation,
-    level: OptLevel,
-) -> Option<smarttrack_trace::EventId> {
-    analyze(trace, AnalysisConfig::new(relation, level))
-        .report
-        .first_race_event()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// Families 1 and 2: every ingestion path and every optimization level
-    /// agree, per relation, on traces full of reader/writer ops.
-    #[test]
-    fn all_paths_and_levels_agree_on_rwlock_traces((spec, seed) in rw_spec()) {
-        let trace = spec.generate(seed);
-        if !has_rw_ops(&trace) {
-            return Ok(());
-        }
-        for relation in [Relation::Hb, Relation::Wcp, Relation::Dc, Relation::Wdc] {
-            let reports: Vec<(OptLevel, Report)> = levels(relation)
-                .into_iter()
-                .map(|level| {
-                    let config = AnalysisConfig::new(relation, level);
-                    (level, pinned_report(&trace, config, "rwlock"))
-                })
-                .collect();
-            let (oracle_level, oracle) = &reports[0];
-            prop_assert_eq!(*oracle_level, OptLevel::Unopt, "Unopt is the oracle");
-            for (level, report) in &reports[1..] {
-                prop_assert_eq!(
-                    report.first_race_event(),
-                    oracle.first_race_event(),
-                    "{} {} first race diverged from Unopt",
-                    level,
-                    relation
-                );
-            }
-        }
-    }
-
-    /// Family 3: the relation hierarchy holds with rwlock ops in play.
-    #[test]
-    fn relation_inclusion_holds_with_rwlock_ops((spec, seed) in rw_spec()) {
-        let trace = spec.generate(seed);
-        let hb = first_race(&trace, Relation::Hb, OptLevel::Fto);
-        let wcp = first_race(&trace, Relation::Wcp, OptLevel::Unopt);
-        let dc = first_race(&trace, Relation::Dc, OptLevel::Unopt);
-        let wdc = first_race(&trace, Relation::Wdc, OptLevel::Unopt);
-        if let Some(h) = hb {
-            let w = wcp.expect("HB-race implies WCP-race");
-            prop_assert!(w <= h, "WCP first race after HB's ({w:?} > {h:?})");
-        }
-        if let Some(w) = wcp {
-            let d = dc.expect("WCP-race implies DC-race");
-            prop_assert!(d <= w);
-        }
-        if let Some(d) = dc {
-            let wd = wdc.expect("DC-race implies WDC-race");
-            prop_assert!(wd <= d);
-        }
-    }
-
-    /// Family 4: STB v3 round-trips exactly, and the decoded trace reports
-    /// identically to the original in every Table 1 cell.
-    #[test]
-    fn stb_v3_round_trip_preserves_reports((spec, seed) in rw_spec()) {
-        let trace = spec.generate(seed);
-        let bytes = to_stb_bytes(&trace);
-        if has_rw_ops(&trace) {
-            prop_assert_eq!(bytes[4], STB_VERSION_3, "rwlock ops require v3");
-        }
-        let decoded = from_stb_bytes(&bytes).expect("round-trips");
-        prop_assert_eq!(&decoded, &trace);
-        for config in AnalysisConfig::table1() {
-            prop_assert_eq!(
-                analyze(&decoded, config).report,
-                analyze(&trace, config).report,
-                "{} report changed across the STB v3 round trip",
-                config
-            );
-        }
-    }
-
-    /// Family 6: WDC race pairs on tiny rwlock traces — every vindicated
-    /// pair has a validating witness, and the exhaustive oracle never
-    /// refutes it.
-    #[test]
-    fn vindication_and_oracle_agree_on_rwlock_traces(
-        (threads, events, seed) in (2u32..4, 12usize..26, any::<u64>())
-    ) {
-        let spec = RandomTraceSpec {
-            threads,
-            events,
-            max_nesting: 1,
-            ..RandomTraceSpec::tiny_rw()
-        };
-        let trace = spec.generate(seed);
-        let report = analyze(
-            &trace,
-            AnalysisConfig::new(Relation::Wdc, OptLevel::Unopt),
-        )
-        .report;
-        let pair = report.races().first().and_then(|race| {
-            let prior = find_prior_access(
-                &trace,
-                race.event,
-                race.var,
-                *race.prior_threads.first()?,
-            )?;
-            Some((prior, race.event))
-        });
-        if let Some((e1, e2)) = pair {
-            if let VindicationResult::Race(w) = vindicate_pair(&trace, e1, e2) {
-                validate_witness(&trace, &w.order, (e1, e2)).expect("witness validates");
-                let oracle = PredictableRaceOracle::new(&trace).with_budget(200_000);
-                prop_assert!(
-                    matches!(
-                        oracle.is_predictable_race(e1, e2),
-                        OracleResult::Race(..) | OracleResult::Unknown
-                    ),
-                    "vindicated a pair the oracle refutes"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn rwlock_free_traces_still_emit_their_old_version_byte() {
-    // The writer pins the lowest expressible version: archived captures of
-    // rwlock-free executions keep diffing clean against fresh encodes.
-    let v1 = to_stb_bytes(&paper::figure1());
-    assert_eq!(v1[4], STB_VERSION);
-    let v3 = to_stb_bytes(&all_rw_tags_trace());
-    assert_eq!(v3[4], STB_VERSION_3);
-}
-
-#[test]
-fn truncation_anywhere_in_a_v3_stream_is_a_precise_error() {
-    let bytes = to_stb_bytes(&all_rw_tags_trace());
-    assert_eq!(bytes[4], STB_VERSION_3);
-    for cut in 0..bytes.len() {
-        match from_stb_bytes(&bytes[..cut]) {
-            Err(StbError::Truncated { offset, .. }) => {
-                assert!(offset <= cut as u64, "offset {offset} past cut {cut}")
-            }
-            Err(other) => panic!("cut at {cut}: unexpected error {other}"),
-            Ok(_) => panic!("cut at {cut}: truncated stream decoded"),
-        }
-    }
-}
-
-#[test]
-fn truncation_fuzz_over_random_rwlock_traces_and_chunk_sizes() {
-    use smarttrack_trace::binary::StbWriter;
-    for seed in 0..3u64 {
-        let trace = RandomTraceSpec::tiny_rw().generate(seed);
-        for chunk in [1, 7, 64] {
-            // The hint cannot express v3-need (rwlocks share the lock id
-            // space), so live streaming pins v3 up front.
-            let mut w = StbWriter::v3(Vec::new()).chunk_events(chunk);
-            for e in trace.events() {
-                w.write(e).unwrap();
-            }
-            let bytes = w.finish().unwrap();
-            for cut in 0..bytes.len() {
-                match from_stb_bytes(&bytes[..cut]) {
-                    Err(_) => {}
-                    Ok(_) => panic!("seed {seed} chunk {chunk}: cut {cut} decoded"),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bit_flips_never_panic_the_v3_decoder() {
-    let bytes = to_stb_bytes(&all_rw_tags_trace());
-    for i in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 1 << bit;
-            // Any outcome but a panic is acceptable: a precise error, or a
-            // decode to some other well-formed trace.
-            let _ = from_stb_bytes(&mutated);
-        }
-    }
-}
-
-#[test]
-fn overlapping_read_sections_race_in_every_cell() {
-    // The canonical shape this extension exists for: a write under one read
-    // section against a read under a concurrently-open read section. Every
-    // Table 1 cell must report it (read sections never exclude each other).
-    let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
-    let (m, x) = (LockId::new(0), VarId::new(0));
-    let mut b = TraceBuilder::new();
-    b.push(t0, Op::Fork(t1)).unwrap();
-    b.push(t0, Op::AcqRead(m)).unwrap();
-    b.push(t1, Op::AcqRead(m)).unwrap();
-    b.push(t0, Op::Write(x)).unwrap();
-    b.push(t1, Op::Read(x)).unwrap();
-    b.push(t0, Op::Release(m)).unwrap();
-    b.push(t1, Op::Release(m)).unwrap();
-    let trace = b.finish();
-    for config in AnalysisConfig::table1() {
-        assert_eq!(
-            analyze(&trace, config).report.static_count(),
-            1,
-            "under {config}"
-        );
-    }
-}
+harness::slices!(
+    all_paths_and_levels_agree_on_rwlock_traces,
+    overlapping_read_sections_race_in_every_cell,
+    relation_inclusion_holds_with_rwlock_ops,
+    stb_v3_round_trip_preserves_reports,
+    vindication_and_oracle_agree_on_rwlock_traces,
+);

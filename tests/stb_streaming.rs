@@ -1,120 +1,18 @@
-//! STB streaming equivalence: a session fed event-by-event from an
-//! `StbReader` must report exactly what the same session fed the decoded
-//! whole `Trace` reports — for every Table 1 cell, on the paper figures,
-//! randomized traces, and the calibrated workloads. This is the guarantee
-//! that lets the CLI stream `.stb` input in bounded memory without
-//! changing any verdict.
+//! Streamed ingest reproduces whole-trace analysis: native text, STB
+//! through `StbReader` and byte-chunked `StbAssembler` on the paper
+//! figures, calibrated profiles and random traces, and `analyze` and a
+//! single-analysis `StbReader` session closed with `finish_one` on every
+//! source.
+//!
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{AnalysisConfig, Engine, StreamHint};
-use smarttrack_trace::binary::{self, StbHint, StbReader, StbWriter};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{paper, Trace};
+#[path = "support/differential.rs"]
+mod harness;
 
-/// Runs the full Table 1 fan-out over `trace` twice — whole-trace fed and
-/// STB-stream fed — and asserts identical reports lane by lane.
-fn assert_stream_matches_whole(trace: &Trace, chunk_events: usize, context: &str) {
-    let table1 = Engine::builder().table1().build().expect("valid matrix");
-
-    let mut whole = table1.open();
-    whole.feed_trace(trace).expect("validated trace");
-    let whole_outcomes = whole.finish();
-
-    // Encode with the given chunking, then stream through a reader.
-    let mut writer =
-        StbWriter::with_hint(Vec::new(), StbHint::of_trace(trace)).chunk_events(chunk_events);
-    for event in trace.events() {
-        writer.write(event).expect("Vec sink");
-    }
-    let bytes = writer.finish().expect("Vec sink");
-    let reader = StbReader::new(&bytes[..]).expect("header decodes");
-
-    let streamed_engine = Engine::builder()
-        .table1()
-        .hint(StreamHint::of_stb_header(reader.header()))
-        .build()
-        .expect("valid matrix");
-    let mut streamed = streamed_engine.open();
-    for event in reader {
-        streamed
-            .feed(event.expect("stream decodes"))
-            .expect("well-formed stream");
-    }
-    let streamed_outcomes = streamed.finish();
-
-    assert_eq!(whole_outcomes.len(), streamed_outcomes.len(), "{context}");
-    for (w, s) in whole_outcomes.iter().zip(&streamed_outcomes) {
-        assert_eq!(w.name, s.name, "{context}");
-        assert_eq!(w.report, s.report, "{context}: lane {}", w.name);
-        assert_eq!(
-            w.report.static_count(),
-            s.report.static_count(),
-            "{context}: lane {}",
-            w.name
-        );
-        assert_eq!(
-            w.summary.events, s.summary.events,
-            "{context}: lane {}",
-            w.name
-        );
-    }
-}
-
-#[test]
-fn paper_figures_report_identically_streamed_and_whole() {
-    for (name, trace) in paper::all_figures() {
-        for chunk in [1, 4, 4096] {
-            assert_stream_matches_whole(&trace, chunk, name);
-        }
-    }
-}
-
-#[test]
-fn calibrated_workloads_report_identically_streamed_and_whole() {
-    for workload in [
-        smarttrack_workloads::profiles::xalan(),
-        smarttrack_workloads::profiles::avrora(),
-    ] {
-        let trace = workload.trace(2e-6, 7);
-        assert_stream_matches_whole(&trace, 256, workload.name);
-    }
-}
-
-#[test]
-fn single_analysis_streamed_outcome_matches_legacy_analyze() {
-    let trace = paper::figure1();
-    let bytes = binary::to_stb_bytes(&trace);
-    let config = AnalysisConfig::new(smarttrack::Relation::Dc, smarttrack::OptLevel::SmartTrack);
-
-    let engine = Engine::for_config(config).expect("available");
-    let mut session = engine.open();
-    for event in StbReader::new(&bytes[..]).expect("valid STB") {
-        session.feed(event.expect("decodes")).expect("well-formed");
-    }
-    let streamed = session.finish_one();
-
-    let direct = smarttrack::analyze(&trace, config);
-    assert_eq!(streamed.report, direct.report);
-    assert_eq!(streamed.summary.events, direct.summary.events);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn randomized_traces_report_identically_streamed_and_whole(
-        seed in any::<u64>(),
-        events in 50usize..300,
-        chunk in 1usize..128,
-    ) {
-        let trace = RandomTraceSpec {
-            events,
-            volatiles: 2,
-            volatile_prob: 0.05,
-            fork_join: true,
-            ..RandomTraceSpec::default()
-        }
-        .generate(seed);
-        assert_stream_matches_whole(&trace, chunk, "randomized");
-    }
-}
+harness::slices!(
+    calibrated_workloads_report_identically_streamed_and_whole,
+    paper_figures_report_identically_streamed_and_whole,
+    randomized_traces_report_identically_streamed_and_whole,
+    single_analysis_streamed_outcome_matches_legacy_analyze,
+);

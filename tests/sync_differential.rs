@@ -1,443 +1,29 @@
-//! Differential fuzz battery for the condvar/barrier synchronization ops —
-//! the pin for the event-model extension (`wait`/`ntf`/`nfa`/`bent`/`bext`).
+//! Condition variables, barriers and the alias ops: level agreement and
+//! oracle soundness on random sync traces, STB and nfa→ntf / acqw→acq
+//! rewrite round trips, and the known condvar and barrier shapes.
 //!
-//! Three property families, checked on proptest-randomized traces that mix
-//! the new operations with the old ones, on the workload sync patterns, and
-//! on the condvar/barrier-heavy calibrated `condsync` workload:
-//!
-//! 1. **Path equivalence.** For every Table 1 cell, the direct
-//!    [`run_detector`] driver, per-event `feed`, whole-stream `feed_batch`,
-//!    and the legacy [`analyze`] wrapper produce bit-identical [`Report`]s
-//!    on traces containing every new op.
-//! 2. **Cross-level agreement.** Every optimization level (FT2/FTO/ST)
-//!    agrees with its Unopt oracle on the first race per cell — and on the
-//!    trace truncated just after it, reports are bit-identical (the same
-//!    contract `tests/opt_equivalence.rs` pins for the old ops).
-//! 3. **Relation inclusion.** HB ⊆ WCP ⊆ DC ⊆ WDC (compared up to the
-//!    first race) still holds with condvar and barrier ordering in play:
-//!    the new ops are *hard* edges in every relation, so they must never
-//!    invert the hierarchy.
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{analyze, run_detector, AnalysisConfig, Engine, OptLevel, Relation, Report};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{Op, Trace, TraceBuilder};
+#[path = "support/differential.rs"]
+mod harness;
 
-/// The optimization levels available for one relation (Table 1 row).
-fn levels(relation: Relation) -> Vec<OptLevel> {
-    match relation {
-        Relation::Hb => vec![OptLevel::Unopt, OptLevel::Epochs, OptLevel::Fto],
-        _ => vec![OptLevel::Unopt, OptLevel::Fto, OptLevel::SmartTrack],
-    }
-}
+harness::slices!(
+    alias_ops_rewrite_to_their_canonical_ops,
+    oracle_agrees_on_tiny_sync_traces,
+    randomized_sync_traces_agree_everywhere,
+    stb_v2_round_trip_preserves_reports,
+);
 
-/// True if the trace exercises at least one of the new synchronization ops.
-fn has_sync_ops(trace: &Trace) -> bool {
-    trace.events().iter().any(|e| {
-        matches!(
-            e.op,
-            Op::Wait(..)
-                | Op::Notify(_)
-                | Op::NotifyAll(_)
-                | Op::BarrierEnter(_)
-                | Op::BarrierExit(_)
-        )
-    })
-}
-
-/// Runs `config` over `trace` through every ingestion path, asserts they all
-/// produce bit-identical reports, and returns that report.
-fn pinned_report(trace: &Trace, config: AnalysisConfig, label: &str) -> Report {
-    let mut det = config.detector().expect("valid Table 1 cell");
-    run_detector(det.as_mut(), trace);
-    let direct = det.report().clone();
-
-    let legacy = analyze(trace, config);
-    assert_eq!(
-        legacy.report, direct,
-        "{label}: {config} analyze() diverged from run_detector()"
-    );
-
-    let engine = Engine::for_config(config).expect("valid Table 1 cell");
-    let mut session = engine.open();
-    for &event in trace.events() {
-        session.feed(event).expect("well-formed event");
-    }
-    let fed = session.finish_one().report;
-    assert_eq!(
-        fed, direct,
-        "{label}: {config} per-event feed diverged from run_detector()"
-    );
-
-    let mut session = engine.open();
-    session.feed_batch(trace.events()).expect("well-formed");
-    let batched = session.finish_one().report;
-    assert_eq!(
-        batched, direct,
-        "{label}: {config} feed_batch diverged from run_detector()"
-    );
-    direct
-}
-
-/// The trace prefix holding the first `events` events.
-///
-/// A prefix cut mid-barrier-round or mid-handoff is still well-formed (open
-/// rounds are allowed, like open critical sections), so truncation at the
-/// first race always revalidates.
-fn truncated(trace: &Trace, events: usize) -> Trace {
-    let mut b = TraceBuilder::new();
-    for ev in &trace.events()[..events] {
-        b.push_event(*ev).expect("prefix of a valid trace is valid");
-    }
-    b.finish()
-}
-
-/// Property families 1 and 2 for every cell of one relation.
-fn assert_levels_agree(trace: &Trace, relation: Relation, label: &str) {
-    let reports: Vec<(OptLevel, Report)> = levels(relation)
-        .into_iter()
-        .map(|level| {
-            let config = AnalysisConfig::new(relation, level);
-            (level, pinned_report(trace, config, label))
-        })
-        .collect();
-
-    let (oracle_level, oracle) = &reports[0];
-    assert_eq!(*oracle_level, OptLevel::Unopt, "Unopt is the oracle");
-    for (level, report) in &reports[1..] {
-        assert_eq!(
-            report.first_race_event(),
-            oracle.first_race_event(),
-            "{label}: {relation} first race differs between Unopt and {level}"
-        );
-        if oracle.is_empty() {
-            assert_eq!(
-                report, oracle,
-                "{label}: {relation} race-free verdict differs at {level}"
-            );
-        }
-    }
-
-    if let Some(first) = oracle.first_race_event() {
-        let cut = truncated(trace, first.index() + 1);
-        let mut cut_reports = levels(relation).into_iter().map(|level| {
-            let config = AnalysisConfig::new(relation, level);
-            (level, pinned_report(&cut, config, label))
-        });
-        let (_, cut_oracle) = cut_reports.next().expect("at least one level");
-        assert_eq!(
-            cut_oracle.dynamic_count(),
-            1,
-            "{label}: prefix has one race"
-        );
-        for (level, report) in cut_reports {
-            assert_eq!(
-                report, cut_oracle,
-                "{label}: {relation} prefix report differs at {level}"
-            );
-        }
-    }
-}
-
-/// Property family 3: the relation hierarchy, compared at first races.
-fn assert_inclusion(trace: &Trace, label: &str) {
-    let first = |relation| {
-        analyze(trace, AnalysisConfig::new(relation, OptLevel::Unopt))
-            .report
-            .first_race_event()
-    };
-    let (hb, wcp, dc, wdc) = (
-        first(Relation::Hb),
-        first(Relation::Wcp),
-        first(Relation::Dc),
-        first(Relation::Wdc),
-    );
-    if let Some(h) = hb {
-        let w = wcp.unwrap_or_else(|| panic!("{label}: HB-race without a WCP-race"));
-        assert!(w <= h, "{label}: WCP first race after HB's ({w:?} > {h:?})");
-    }
-    if let Some(w) = wcp {
-        let d = dc.unwrap_or_else(|| panic!("{label}: WCP-race without a DC-race"));
-        assert!(d <= w, "{label}: DC first race after WCP's");
-    }
-    if let Some(d) = dc {
-        let wd = wdc.unwrap_or_else(|| panic!("{label}: DC-race without a WDC-race"));
-        assert!(wd <= d, "{label}: WDC first race after DC's");
-    }
-}
-
-fn assert_everything(trace: &Trace, label: &str) {
-    for relation in Relation::ALL {
-        assert_levels_agree(trace, relation, label);
-    }
-    assert_inclusion(trace, label);
-}
-
-/// Randomized traces with all five new ops mixed into the usual lock /
-/// volatile / fork-join traffic.
-fn arb_sync_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (
-        2u32..5,       // threads
-        60usize..280,  // events
-        2u32..6,       // vars
-        1u32..4,       // locks
-        1u32..3,       // condvars
-        1u32..3,       // barriers
-        any::<u64>(),  // seed
-        any::<bool>(), // fork_join
-    )
-        .prop_map(
-            |(threads, events, vars, locks, condvars, barriers, seed, fork_join)| {
-                (
-                    RandomTraceSpec {
-                        threads,
-                        events,
-                        vars,
-                        locks,
-                        condvars,
-                        condvar_prob: 0.12,
-                        barriers,
-                        barrier_prob: 0.05,
-                        acquire_prob: 0.15,
-                        release_prob: 0.18,
-                        fork_join,
-                        ..RandomTraceSpec::default()
-                    },
-                    seed,
-                )
-            },
-        )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn randomized_sync_traces_agree_everywhere((spec, seed) in arb_sync_spec()) {
-        let trace = spec.generate(seed);
-        // The spec's condvar/barrier probabilities make sync-free traces
-        // vanishingly rare; the properties hold either way.
-        assert_everything(&trace, "random-sync");
-    }
-
-    /// The lowering's aliases stay aliases: rewriting `nfa` to `ntf` and
-    /// `acqw` to `acq` in place (event ids unchanged) leaves every row's
-    /// report bit-identical — all 14 cells, SyncP and OSR.
-    #[test]
-    fn alias_ops_rewrite_to_their_canonical_ops((spec, seed) in arb_sync_spec()) {
-        let trace = RandomTraceSpec {
-            rwlocks: 2,
-            rw_read_prob: 0.1,
-            rw_write_prob: 0.08,
-            rw_release_prob: 0.3,
-            try_fail_prob: 0.03,
-            ..spec
-        }
-        .generate(seed);
-        let mut b = TraceBuilder::new();
-        for ev in trace.events() {
-            let op = match ev.op {
-                Op::NotifyAll(c) => Op::Notify(c),
-                Op::AcqWrite(m) => Op::Acquire(m),
-                op => op,
-            };
-            b.push_event(smarttrack_trace::Event { op, ..*ev })
-                .expect("the canonical op is admitted wherever its alias was");
-        }
-        let canonical = b.finish();
-        let mut configs = AnalysisConfig::table1();
-        configs.push(AnalysisConfig::new(Relation::SyncP, OptLevel::Unopt));
-        configs.push(AnalysisConfig::new(Relation::Osr, OptLevel::Unopt));
-        for config in configs {
-            let a = analyze(&trace, config).report;
-            let b = analyze(&canonical, config).report;
-            prop_assert_eq!(a, b, "{} reports differ after the alias rewrite", config);
-        }
-    }
-
-    /// Feeding through an STB v2 encode/decode round trip must not change
-    /// any cell's report either (the codec is part of the ingestion path).
-    #[test]
-    fn stb_v2_round_trip_preserves_reports((spec, seed) in arb_sync_spec()) {
-        let trace = spec.generate(seed);
-        let bytes = smarttrack_trace::binary::to_stb_bytes(&trace);
-        let decoded = smarttrack_trace::binary::from_stb_bytes(&bytes).expect("round trip");
-        for config in AnalysisConfig::table1() {
-            let a = analyze(&trace, config).report;
-            let b = analyze(&decoded, config).report;
-            prop_assert_eq!(a, b, "{} diverged across the STB round trip", config);
-        }
-    }
-}
-
-/// Deterministic traces with *known* expected races, across all 14 cells.
+/// Hand-built condvar and barrier shapes, the condsync profile's calibrated
+/// race mix, and level agreement on pinned sync seeds.
 mod known_patterns {
-    use super::*;
-    use smarttrack_trace::{BarrierId, CondId, LockId, ThreadId, VarId};
-
-    fn t(i: u32) -> ThreadId {
-        ThreadId::new(i)
-    }
-    fn x(i: u32) -> VarId {
-        VarId::new(i)
-    }
-
-    /// Producer-consumer handoff ordered purely through the condvar: no
-    /// cell may report a race.
-    #[test]
-    fn condvar_handoff_is_race_free_in_all_14_cells() {
-        let (c, m) = (CondId::new(0), LockId::new(0));
-        let mut b = TraceBuilder::new();
-        b.push(t(0), Op::Write(x(0))).unwrap();
-        b.push(t(0), Op::Notify(c)).unwrap();
-        b.push(t(1), Op::Acquire(m)).unwrap();
-        b.push(t(1), Op::Wait(c, m)).unwrap();
-        b.push(t(1), Op::Read(x(0))).unwrap();
-        b.push(t(1), Op::Release(m)).unwrap();
-        let trace = b.finish();
-        for config in AnalysisConfig::table1() {
-            let report = pinned_report(&trace, config, "handoff");
-            assert!(report.is_empty(), "{config} reported a race: {report}");
-        }
-    }
-
-    /// A write issued after the notify races with the woken consumer's
-    /// read: every cell must report exactly that race.
-    #[test]
-    fn post_notify_write_races_in_all_14_cells() {
-        let (c, m) = (CondId::new(0), LockId::new(0));
-        let mut b = TraceBuilder::new();
-        b.push(t(0), Op::Notify(c)).unwrap();
-        b.push(t(0), Op::Write(x(0))).unwrap();
-        b.push(t(1), Op::Acquire(m)).unwrap();
-        b.push(t(1), Op::Wait(c, m)).unwrap();
-        let rd = b.push(t(1), Op::Read(x(0))).unwrap();
-        b.push(t(1), Op::Release(m)).unwrap();
-        let trace = b.finish();
-        for config in AnalysisConfig::table1() {
-            let report = pinned_report(&trace, config, "post-notify");
-            assert_eq!(
-                report.first_race_event(),
-                Some(rd),
-                "{config} missed the post-notify race"
-            );
-        }
-    }
-
-    /// Barrier phases: cross-phase accesses are ordered, same-phase
-    /// accesses race — in every cell.
-    #[test]
-    fn barrier_phases_order_across_not_within_in_all_14_cells() {
-        let bar = BarrierId::new(0);
-        let mut b = TraceBuilder::new();
-        b.push(t(0), Op::Write(x(0))).unwrap();
-        b.push(t(1), Op::Write(x(1))).unwrap();
-        b.push(t(0), Op::BarrierEnter(bar)).unwrap();
-        b.push(t(1), Op::BarrierEnter(bar)).unwrap();
-        b.push(t(0), Op::BarrierExit(bar)).unwrap();
-        b.push(t(1), Op::BarrierExit(bar)).unwrap();
-        b.push(t(0), Op::Read(x(1))).unwrap();
-        b.push(t(1), Op::Read(x(0))).unwrap();
-        b.push(t(0), Op::Write(x(2))).unwrap();
-        let racy = b.push(t(1), Op::Write(x(2))).unwrap();
-        let trace = b.finish();
-        for config in AnalysisConfig::table1() {
-            let report = pinned_report(&trace, config, "barrier-phase");
-            assert_eq!(
-                report.first_race_event(),
-                Some(racy),
-                "{config} disagreed on the same-phase race"
-            );
-            assert_eq!(report.dynamic_count(), 1, "{config} extra races");
-        }
-    }
-
-    /// The full workload sync patterns, emitted through the generator used
-    /// by the calibrated profiles: expected static race counts must hold
-    /// for every relation.
-    #[test]
-    fn condsync_workload_matches_its_expected_race_mix() {
-        let w = smarttrack_workloads::profiles::condsync();
-        let trace = w.trace(2e-5, 11);
-        assert!(has_sync_ops(&trace), "condsync must exercise the new ops");
-        let (eh, ew, ed, ewd) = w.races.expected_static();
-        let expect = [
-            (Relation::Hb, eh),
-            (Relation::Wcp, ew),
-            (Relation::Dc, ed),
-            (Relation::Wdc, ewd),
-        ];
-        for (relation, expected) in expect {
-            let report = analyze(&trace, AnalysisConfig::new(relation, OptLevel::Unopt)).report;
-            assert_eq!(
-                report.static_count(),
-                expected as usize,
-                "{relation} static race count off on condsync"
-            );
-        }
-        assert_everything(&trace, "condsync");
-    }
-
-    /// EventId stability: cutting right after a mid-round race keeps a
-    /// barrier open — the analyses and all ingestion paths must cope.
-    #[test]
-    fn race_inside_an_open_barrier_round_agrees_everywhere() {
-        let bar = BarrierId::new(0);
-        let mut b = TraceBuilder::new();
-        b.push(t(0), Op::BarrierEnter(bar)).unwrap();
-        b.push(t(1), Op::BarrierEnter(bar)).unwrap();
-        b.push(t(2), Op::Write(x(0))).unwrap();
-        b.push(t(0), Op::BarrierExit(bar)).unwrap();
-        // t1 still inside the round; t2 races with t0's post-exit read.
-        b.push(t(0), Op::Read(x(0))).unwrap();
-        let trace = b.finish();
-        assert_everything(&trace, "open-round");
-    }
-
-    /// The fuzz property on a handful of fixed seeds, so a regression is
-    /// reproducible without proptest shrinking.
-    #[test]
-    fn pinned_seeds_agree_everywhere() {
-        for seed in [3, 17, 92, 1234] {
-            let trace = RandomTraceSpec::tiny_sync().generate(seed);
-            assert_everything(&trace, "tiny-sync");
-        }
-    }
-}
-
-/// The exhaustive reordering oracle must agree with the clock analyses'
-/// verdicts on tiny synchronization-heavy traces: no analysis may call a
-/// race on an ordering the oracle proves unbreakable (HB soundness), and
-/// race-free-under-WDC traces must be predictable-race-free.
-#[test]
-fn oracle_agrees_on_tiny_sync_traces() {
-    use smarttrack_vindicate::{OracleResult, PredictableRaceOracle};
-    let mut hb_races = 0usize;
-    for seed in 0..120u64 {
-        let trace = RandomTraceSpec::tiny_sync().generate(seed);
-        if !has_sync_ops(&trace) {
-            continue;
-        }
-        let hb = analyze(&trace, AnalysisConfig::new(Relation::Hb, OptLevel::Unopt)).report;
-        let oracle = PredictableRaceOracle::new(&trace).with_budget(200_000);
-        match oracle.any_predictable_race() {
-            OracleResult::NoRace => {
-                // The oracle respects notify→wait and rendezvous ordering;
-                // an HB race on an oracle-race-free trace would mean the
-                // detectors order *less* than the ground truth allows.
-                assert!(
-                    hb.is_empty(),
-                    "seed {seed}: HB reports a race the oracle refutes: {hb}"
-                );
-            }
-            OracleResult::Race(e1, e2) => {
-                let _ = (e1, e2);
-                if !hb.is_empty() {
-                    hb_races += 1;
-                }
-            }
-            OracleResult::Unknown => {}
-        }
-    }
-    assert!(hb_races > 0, "battery never saw a racy sync trace");
+    super::harness::slices!(
+        barrier_phases_order_across_not_within_in_all_14_cells,
+        condsync_workload_matches_its_expected_race_mix,
+        condvar_handoff_is_race_free_in_all_14_cells,
+        pinned_seeds_agree_everywhere,
+        post_notify_write_races_in_all_14_cells,
+        race_inside_an_open_barrier_round_agrees_everywhere,
+    );
 }

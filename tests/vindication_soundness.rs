@@ -1,155 +1,20 @@
-//! Soundness tests for the predictive pipeline, cross-checked against the
-//! exhaustive oracle on small traces:
+//! Vindication and the exhaustive reordering oracle: vindicated first races
+//! carry valid witnesses, no HB first race is refuted, no WCP first race is
+//! refuted on traces whose critical sections never nest (and elsewhere only
+//! with a predictable deadlock), a refuted DC or WDC first race never
+//! vindicates (Figure 3's WDC race), and Figures 1 and 2 vindicate.
 //!
-//! * WCP soundness (§2.4): on deadlock-free traces, every WCP-race is a true
-//!   predictable race;
-//! * vindication soundness: every constructed witness passes the independent
-//!   predicted-trace validator (and the oracle agrees a race exists);
-//! * the Figure 3 false WDC-race never vindicates.
+//! Each test runs the slice of the differential harness
+//! (`tests/support/differential.rs`) listed under its name.
 
-use proptest::prelude::*;
-use smarttrack::{analyze, AnalysisConfig, OptLevel, Relation};
-use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::Trace;
-use smarttrack_vindicate::{
-    find_prior_access, validate_witness, vindicate_pair, DeadlockResult, OracleResult,
-    PredictableRaceOracle, VindicationResult,
-};
+#[path = "support/differential.rs"]
+mod harness;
 
-fn tiny_spec(max_nesting: usize) -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (2u32..4, 12usize..26, any::<u64>()).prop_map(move |(threads, events, seed)| {
-        (
-            RandomTraceSpec {
-                threads,
-                events,
-                vars: 3,
-                locks: 2,
-                max_nesting,
-                acquire_prob: 0.25,
-                release_prob: 0.3,
-                write_frac: 0.5,
-                ..RandomTraceSpec::default()
-            },
-            seed,
-        )
-    })
-}
-
-fn race_pair(
-    trace: &Trace,
-    relation: Relation,
-) -> Option<(smarttrack_trace::EventId, smarttrack_trace::EventId)> {
-    let report = analyze(trace, AnalysisConfig::new(relation, OptLevel::Unopt)).report;
-    let race = report.races().first()?.clone();
-    let prior = find_prior_access(trace, race.event, race.var, *race.prior_threads.first()?)?;
-    Some((prior, race.event))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// WCP soundness: with nesting depth 1 no predictable deadlock exists, so
-    /// a WCP-race must be a predictable race (verified exhaustively).
-    #[test]
-    fn wcp_races_are_predictable_races((spec, seed) in tiny_spec(1)) {
-        let trace = spec.generate(seed);
-        if let Some((e1, e2)) = race_pair(&trace, Relation::Wcp) {
-            let oracle = PredictableRaceOracle::new(&trace);
-            let verdict = oracle.is_predictable_race(e1, e2);
-            prop_assert!(
-                matches!(verdict, OracleResult::Race(..) | OracleResult::Unknown),
-                "WCP reported ({e1}, {e2}) but the oracle exhaustively refutes it"
-            );
-        }
-    }
-
-    /// WCP's full soundness statement (§2.4 footnote 4): with nested
-    /// critical sections, a WCP-race implies a predictable race *or a
-    /// predictable deadlock* — both checked exhaustively.
-    #[test]
-    fn wcp_races_imply_race_or_deadlock((spec, seed) in tiny_spec(2)) {
-        let trace = spec.generate(seed);
-        if let Some((e1, e2)) = race_pair(&trace, Relation::Wcp) {
-            let oracle = PredictableRaceOracle::new(&trace);
-            let race = oracle.is_predictable_race(e1, e2);
-            if race == OracleResult::NoRace {
-                prop_assert_ne!(
-                    oracle.any_predictable_deadlock(),
-                    DeadlockResult::NoDeadlock,
-                    "WCP reported ({}, {}): the oracle refutes the race, \
-                     so a predictable deadlock must exist",
-                    e1,
-                    e2
-                );
-            }
-        }
-    }
-
-    /// Vindicated witnesses always validate and never contradict the oracle.
-    #[test]
-    fn witnesses_validate_and_oracle_agrees((spec, seed) in tiny_spec(2)) {
-        let trace = spec.generate(seed);
-        if let Some((e1, e2)) = race_pair(&trace, Relation::Wdc) {
-            if let VindicationResult::Race(w) = vindicate_pair(&trace, e1, e2) {
-                validate_witness(&trace, &w.order, (e1, e2)).expect("witness validates");
-                let oracle = PredictableRaceOracle::new(&trace);
-                prop_assert!(
-                    matches!(
-                        oracle.is_predictable_race(e1, e2),
-                        OracleResult::Race(..) | OracleResult::Unknown
-                    ),
-                    "vindicated a pair the oracle refutes"
-                );
-            }
-        }
-    }
-
-    /// DC-races on these small traces are (almost) always real; verify each
-    /// one the oracle can decide.
-    #[test]
-    fn dc_races_checked_against_oracle((spec, seed) in tiny_spec(2)) {
-        let trace = spec.generate(seed);
-        if let Some((e1, e2)) = race_pair(&trace, Relation::Dc) {
-            let oracle = PredictableRaceOracle::new(&trace).with_budget(200_000);
-            match oracle.is_predictable_race(e1, e2) {
-                OracleResult::Race(..) | OracleResult::Unknown => {}
-                OracleResult::NoRace => {
-                    // A false DC-race: theoretically possible (DC is unsound)
-                    // but must then fail vindication.
-                    prop_assert_eq!(
-                        vindicate_pair(&trace, e1, e2),
-                        VindicationResult::Unknown,
-                        "vindication must not bless a false DC-race"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn figure3_false_race_is_caught_by_both_oracle_and_vindication() {
-    let trace = smarttrack_trace::paper::figure3();
-    let (e1, e2) = race_pair(&trace, Relation::Wdc).expect("WDC reports it");
-    assert_eq!(vindicate_pair(&trace, e1, e2), VindicationResult::Unknown);
-    let oracle = PredictableRaceOracle::new(&trace);
-    assert_eq!(oracle.any_predictable_race(), OracleResult::NoRace);
-}
-
-#[test]
-fn paper_figures_1_and_2_vindicate_with_valid_witnesses() {
-    for trace in [
-        smarttrack_trace::paper::figure1(),
-        smarttrack_trace::paper::figure2(),
-    ] {
-        let (e1, e2) = race_pair(&trace, Relation::Wdc).expect("racy figure");
-        match vindicate_pair(&trace, e1, e2) {
-            VindicationResult::Race(w) => {
-                validate_witness(&trace, &w.order, (e1, e2)).expect("valid witness");
-                // The witness trace itself must be importable.
-                let _ = w.to_trace(&trace);
-            }
-            VindicationResult::Unknown => panic!("true race failed to vindicate"),
-        }
-    }
-}
+harness::slices!(
+    dc_races_checked_against_oracle,
+    figure3_false_race_is_caught_by_both_oracle_and_vindication,
+    paper_figures_1_and_2_vindicate_with_valid_witnesses,
+    wcp_races_are_predictable_races,
+    wcp_races_imply_race_or_deadlock,
+    witnesses_validate_and_oracle_agrees,
+);

@@ -58,10 +58,10 @@ fn tiny_full_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
                     barriers: 1,
                     barrier_prob: 0.06,
                     rwlocks: 1,
-                    rw_read_prob: 0.12,
-                    rw_write_prob: 0.05,
-                    rw_release_prob: 0.25,
-                    try_fail_prob: 0.03,
+                    rw_read_prob: 0.08,
+                    rw_write_prob: 0.04,
+                    rw_release_prob: 0.15,
+                    try_fail_prob: 0.02,
                     write_frac: 0.5,
                     fork_join,
                     ..RandomTraceSpec::default()
