@@ -2,7 +2,7 @@
 //! binary trace format.
 //!
 //! Everything the analyses consume elsewhere in this workspace is
-//! synthetic — generated workloads, paper figures, proptest randomness.
+//! synthetic — generated workloads, paper figures, seeded random traces.
 //! SmartTrack's point (Roemer, Genç, Bond, PLDI 2020 §5.1) is *online*
 //! analysis of real program executions, so this crate provides drop-in
 //! instrumented `std::sync` wrappers that perform the real operation and

@@ -432,12 +432,6 @@ impl CaptureSession {
         });
     }
 
-    /// The calling thread's id within this session (registering it if
-    /// needed).
-    pub fn current_thread(&self) -> ThreadId {
-        self.with_ctx(|ctx| ctx.tid)
-    }
-
     /// Records one event for the calling thread. The caller must hold
     /// whatever real synchronization orders the operation (see the module
     /// docs); the ticket drawn here is what makes the merged stream a valid

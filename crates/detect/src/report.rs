@@ -42,7 +42,8 @@ pub struct RaceReport {
     pub var: VarId,
     /// Whether the detecting access is a read or a write.
     pub kind: AccessKind,
-    /// Threads of the prior conflicting accesses found unordered.
+    /// Threads of the prior conflicting accesses found unordered, in
+    /// increasing id order once recorded in a [`Report`].
     pub prior_threads: Vec<ThreadId>,
 }
 
@@ -81,8 +82,10 @@ impl Report {
         Report::default()
     }
 
-    /// Records a race (one per detecting access).
-    pub fn push(&mut self, race: RaceReport) {
+    /// Records a race (one per detecting access), its prior threads sorted
+    /// by thread id.
+    pub fn push(&mut self, mut race: RaceReport) {
+        race.prior_threads.sort_unstable();
         self.races.push(race);
     }
 

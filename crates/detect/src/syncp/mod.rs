@@ -36,11 +36,12 @@
 //!    a failed trylock (`tryf`) constrains nothing in any direction.
 //! 4. **Condvar/barrier** — a `wait` in `I` keeps the notifies that
 //!    preceded it (latest per notifying thread); a barrier exit keeps its
-//!    round's enters. Consecutive rounds order *conditionally*: when any
-//!    event of round `r` and an enter of round `r + 1` are both in `I`,
-//!    round `r`'s exits join `I` (the trace model forbids gathering a new
-//!    round while one drains, so a witness interleaving them is invalid).
-//!    Wholly-absent rounds stay droppable — an unconditional
+//!    round's enters. Rounds order *conditionally*: when any event of
+//!    round `r` and an enter of any later round are both in `I`, round
+//!    `r`'s exits join `I` (the trace model forbids gathering a new round
+//!    while one drains, so a witness interleaving them is invalid). The
+//!    later round need not be `r + 1`: the rounds between may be wholly
+//!    absent. Wholly-absent rounds stay droppable — an unconditional
 //!    enter → previous-exits edge would out-order the rendezvous clocks
 //!    and break HB ⊆ SyncP on thread-disjoint consecutive rounds.
 //! 5. **Fork/join** — a forked thread's first event keeps its fork; a
@@ -413,17 +414,17 @@ pub trait LockRule: Clone + std::fmt::Debug + Default {
 }
 
 /// Per-barrier closure scratch for the conditional cross-round rule: a
-/// round partially in the ideal must finish draining before a later
-/// round's enter (the trace model forbids gathering while a round
+/// round partially in the ideal must finish draining before the enter of
+/// any later round in it (the trace model forbids gathering while a round
 /// drains), but wholly-absent rounds are droppable.
 #[derive(Clone, Debug, Default)]
 struct BarrierScratch {
     /// Per round: stamped with the closure gen once any event of the
     /// round is in the ideal.
     touched: Vec<u32>,
-    /// Per round `r`: stamped with the closure gen once an enter of
-    /// round `r + 1` is in the ideal.
-    enter_next: Vec<u32>,
+    /// `(gen, r)`: in closure `gen`, the latest round with an enter in the
+    /// ideal is `r`, and every touched round before `r` has been drained.
+    latest_enter: (u32, u32),
 }
 
 /// The ideal under construction: per-thread prefix lengths plus the
@@ -544,8 +545,8 @@ impl<R: LockRule> Closure<R> {
                     // Rule 4's barrier half. `m.aux` is the event's round
                     // index; an exit pulls its round's enters, and the
                     // conditional cross-round rule pulls round r's exits
-                    // once both some event of round r and an enter of
-                    // round r + 1 are included (whichever lands second
+                    // once both some event of round r and an enter of any
+                    // later round are included (whichever lands second
                     // fires the pull).
                     Op::BarrierEnter(bar) | Op::BarrierExit(bar) => {
                         let rounds = &core.barriers[bar.index()].rounds;
@@ -554,8 +555,9 @@ impl<R: LockRule> Closure<R> {
                         let bsc = slot(&mut self.barriers, bar.index());
                         if bsc.touched.len() < rounds.len() {
                             bsc.touched.resize(rounds.len(), 0);
-                            bsc.enter_next.resize(rounds.len(), 0);
                         }
+                        let (stamp, latest) = bsc.latest_enter;
+                        let latest = if stamp == gen { latest as usize } else { 0 };
                         if matches!(m.op, Op::BarrierExit(_)) {
                             self.need.push(rounds[r].0);
                         }
@@ -564,14 +566,17 @@ impl<R: LockRule> Closure<R> {
                         // its own round yet.
                         if r < rounds.len() {
                             bsc.touched[r] = gen;
-                            if bsc.enter_next[r] == gen {
+                            if r < latest {
                                 self.need.push(rounds[r].1);
                             }
                         }
-                        if matches!(m.op, Op::BarrierEnter(_)) && r > 0 {
-                            bsc.enter_next[r - 1] = gen;
-                            if bsc.touched[r - 1] == gen {
-                                self.need.push(rounds[r - 1].1);
+                        if matches!(m.op, Op::BarrierEnter(_)) && r > latest {
+                            bsc.latest_enter = (gen, r as u32);
+                            let between = bsc.touched[latest..r].iter().zip(&rounds[latest..r]);
+                            for (&stamp, &(_, exits)) in between {
+                                if stamp == gen {
+                                    self.need.push(exits);
+                                }
                             }
                         }
                         for pool in self.need.drain(..) {

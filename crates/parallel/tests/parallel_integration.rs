@@ -4,7 +4,7 @@
 //!
 //! 1. **Deterministic differential**: fed one event at a time in trace order,
 //!    the concurrent analyses must equal their sequential counterparts
-//!    exactly — races, event ids, and FTO case counters (proptest over
+//!    exactly — races, event ids, and FTO case counters (seeded loops over
 //!    random traces).
 //! 2. **Concurrent soundness trials**: running real OS threads, programs
 //!    that are race-free under *every* interleaving must never produce a
@@ -12,7 +12,8 @@
 //! 3. **Recorded-linearization cross-check**: the online report agrees with
 //!    a sequential analysis of the driver's recorded interleaving.
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use smarttrack_clock::ThreadId;
 use smarttrack_detect::{run_detector, Detector, FtoCase, FtoHb, SmartTrackWdc};
 use smarttrack_parallel::{
@@ -120,17 +121,19 @@ fn rwlock_feeds_match_sequential() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Property 1: deterministic feeds equal the sequential detectors.
-    #[test]
-    fn concurrent_structures_compute_the_sequential_analysis(
-        seed in 0u64..10_000,
-        events in 100usize..800,
-    ) {
-        let tr = RandomTraceSpec { events, ..RandomTraceSpec::default() }.generate(seed);
-        assert_feed_matches_sequential(&tr, &format!("seed {seed} events {events}"));
+/// Property 1: deterministic feeds equal the sequential detectors, on 48
+/// seeded cases.
+#[test]
+fn concurrent_structures_compute_the_sequential_analysis() {
+    for case in 0..48 {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let (seed, events) = (rng.gen_range(0u64..10_000), rng.gen_range(100usize..800));
+        let tr = RandomTraceSpec {
+            events,
+            ..RandomTraceSpec::default()
+        }
+        .generate(seed);
+        assert_feed_matches_sequential(&tr, &format!("case {case}: seed {seed} events {events}"));
     }
 }
 

@@ -82,7 +82,8 @@ pub struct ServerConfig {
     /// by threads × variables). A deployment that enables a `syncp` or
     /// `osr` lane should bound session length — finish and reopen
     /// sessions periodically — rather than stream one session
-    /// indefinitely; `state_bytes` in the stats frame reports the growth
+    /// indefinitely; each lane's `footprint_bytes` and
+    /// `peak_footprint_bytes` in the Snapshot frame report the growth
     /// honestly.
     pub analyses: Vec<AnalysisConfig>,
     /// Worker pool size; `None` defers to `SMARTTRACK_WORKERS` and then

@@ -354,12 +354,6 @@ pub enum TraceFormat {
 }
 
 impl TraceFormat {
-    /// Returns `true` for the binary format (STB), whose byte stream is not
-    /// text and cannot go through [`parse_as`]/[`render_as`].
-    pub const fn is_binary(self) -> bool {
-        matches!(self, TraceFormat::Stb)
-    }
-
     /// The conventional file extension for the format.
     pub const fn extension(self) -> &'static str {
         match self {

@@ -84,49 +84,6 @@ impl PatternKind {
         }
     }
 
-    /// Fresh variables the pattern consumes.
-    pub fn vars_needed(self) -> u32 {
-        match self {
-            PatternKind::HbRace
-            | PatternKind::CondvarHandoff
-            | PatternKind::CondvarRace
-            | PatternKind::BarrierRace
-            | PatternKind::ReaderOverlap => 1,
-            PatternKind::Predictive | PatternKind::WdcFalse => 3,
-            PatternKind::DcOnly | PatternKind::BarrierPhase | PatternKind::Reversal => 2,
-        }
-    }
-
-    /// Fresh locks the pattern consumes.
-    pub fn locks_needed(self) -> u32 {
-        match self {
-            PatternKind::HbRace | PatternKind::BarrierPhase | PatternKind::BarrierRace => 0,
-            PatternKind::Predictive
-            | PatternKind::CondvarHandoff
-            | PatternKind::CondvarRace
-            | PatternKind::ReaderOverlap
-            | PatternKind::Reversal => 1,
-            PatternKind::DcOnly => 2,
-            PatternKind::WdcFalse => 3,
-        }
-    }
-
-    /// Fresh condition variables the pattern consumes.
-    pub fn condvars_needed(self) -> u32 {
-        match self {
-            PatternKind::CondvarHandoff | PatternKind::CondvarRace => 1,
-            _ => 0,
-        }
-    }
-
-    /// Fresh barriers the pattern consumes.
-    pub fn barriers_needed(self) -> u32 {
-        match self {
-            PatternKind::BarrierPhase | PatternKind::BarrierRace => 1,
-            _ => 0,
-        }
-    }
-
     /// Statically distinct races one instance of this pattern contributes
     /// under each relation, as `(HB, WCP, DC, WDC)`. This is the per-site
     /// decomposition of [`RaceMix::expected_static`], exposed so external

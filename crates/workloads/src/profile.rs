@@ -70,11 +70,6 @@ impl Workload {
         ((self.races.repeats_per_site as f64 * scale / 1e-4).round() as u32).max(1)
     }
 
-    /// The target number of events at `scale`.
-    pub fn events_at(&self, scale: f64) -> usize {
-        (self.paper.events_m * 1e6 * scale) as usize
-    }
-
     /// Target same-epoch-access ratio (`All / NSEAs` from Table 2).
     pub fn burst_target(&self) -> f64 {
         // Accesses are roughly half of all events in the DaCapo traces; the

@@ -10,7 +10,8 @@
 //! * the whole `CorpusReport` — including its JSON rendering — is
 //!   bit-identical at 1, 2, and 8 workers and across repeated runs.
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use smarttrack::{AnalysisConfig, AnalysisOutcome, BatchJob, Engine, EnginePool};
 use smarttrack_trace::gen::RandomTraceSpec;
 use smarttrack_trace::{Loc, Trace};
@@ -123,46 +124,32 @@ fn assert_pool_matches_sequential(engine: &Engine, corpus: &[(String, Trace)], l
     assert_eq!(renderings[0], renderings[2], "{label}: 1 vs 8 workers");
 }
 
-fn arb_corpus() -> impl Strategy<Value = Vec<(RandomTraceSpec, u64)>> {
-    proptest::collection::vec(
-        (
-            2u32..5,       // threads
-            40usize..220,  // events
-            2u32..6,       // vars
-            1u32..4,       // locks
-            any::<u64>(),  // seed
-            any::<bool>(), // fork_join
-        )
-            .prop_map(|(threads, events, vars, locks, seed, fork_join)| {
-                (
-                    RandomTraceSpec {
-                        threads,
-                        events,
-                        vars,
-                        locks,
-                        acquire_prob: 0.18,
-                        release_prob: 0.22,
-                        fork_join,
-                        ..RandomTraceSpec::default()
-                    },
-                    seed,
-                )
-            }),
-        2..7,
-    )
+/// A corpus of 2 to 6 small random lock traces.
+fn arb_corpus(rng: &mut SmallRng) -> Vec<(String, Trace)> {
+    let len = rng.gen_range(2usize..7);
+    (0..len)
+        .map(|i| {
+            let spec = RandomTraceSpec {
+                threads: rng.gen_range(2u32..5),
+                events: rng.gen_range(40usize..220),
+                vars: rng.gen_range(2u32..6),
+                locks: rng.gen_range(1u32..4),
+                acquire_prob: 0.18,
+                release_prob: 0.22,
+                fork_join: rng.gen(),
+                ..RandomTraceSpec::default()
+            };
+            (format!("random-{i}"), spec.generate(rng.gen()))
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn randomized_corpora_match_sequential_at_1_2_8_workers(specs in arb_corpus()) {
-        let corpus: Vec<(String, Trace)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, (spec, seed))| (format!("random-{i}"), spec.generate(*seed)))
-            .collect();
-        assert_pool_matches_sequential(&headline_engine(), &corpus, "random");
+#[test]
+fn randomized_corpora_match_sequential_at_1_2_8_workers() {
+    for case in 0..8 {
+        let corpus = arb_corpus(&mut SmallRng::seed_from_u64(case));
+        let label = format!("random case {case}");
+        assert_pool_matches_sequential(&headline_engine(), &corpus, &label);
     }
 }
 

@@ -12,7 +12,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use smarttrack::AnalysisConfig;
 use smarttrack_serve::{
     protocol::{encode_frame, Frame, QueryKind, MAX_FRAME_BYTES, PROTOCOL_VERSION},
@@ -43,8 +44,11 @@ fn assert_server_live(server: &Server, tag: &str) {
         false,
     )
     .unwrap_or_else(|e| panic!("server dead after {tag}: {e}"));
-    client.stream_trace(&trace, 7).expect("stream");
-    let report = client.finish().expect("finish");
+    let streamed = client.stream_trace(&trace, 7);
+    streamed.unwrap_or_else(|e| panic!("stream after {tag}: {e}"));
+    let report = client
+        .finish()
+        .unwrap_or_else(|e| panic!("finish after {tag}: {e}"));
     assert_eq!(report.events, trace.len() as u64, "after {tag}");
     assert_eq!(report.lanes.len(), 1, "after {tag}");
 }
@@ -471,31 +475,38 @@ fn corrupt_stb_on_an_osr_lane_fails_the_session_not_the_server() {
     server.shutdown();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random bit flips anywhere in a valid conversation: the connection
-    /// may fail any way it likes, the server may not. Odd cases flip a
-    /// conversation whose payload carries every v3 STB tag.
-    #[test]
-    fn bit_flips_never_kill_the_server(byte_idx in 0usize..400, bit in 0u8..8, case in 0u32..1000) {
+/// Random bit flips anywhere in a valid conversation, on 12 seeded cases:
+/// the connection may fail any way it likes, the server may not. Odd tags
+/// flip a conversation whose payload carries every v3 STB tag.
+#[test]
+fn bit_flips_never_kill_the_server() {
+    for case in 0..12 {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let (byte_idx, bit) = (rng.gen_range(0usize..400), rng.gen_range(0u8..8));
+        let tag = rng.gen_range(0u32..1000);
         let server = test_server();
-        let mut conversation = if case % 2 == 0 {
-            good_conversation(&format!("flip-{case}"))
+        let mut conversation = if tag % 2 == 0 {
+            good_conversation(&format!("flip-{tag}"))
         } else {
-            conversation_for(&format!("flip-{case}"), &v3_trace())
+            conversation_for(&format!("flip-{tag}"), &v3_trace())
         };
         let idx = byte_idx % conversation.len();
         conversation[idx] ^= 1 << bit;
         poke(&server, &conversation);
-        assert_server_live(&server, &format!("flip-{idx}-{bit}"));
+        assert_server_live(&server, &format!("case-{case}-flip-{idx}-{bit}"));
     }
+}
 
-    /// Pure random byte blobs as the opening bytes of a connection.
-    #[test]
-    fn random_blobs_never_kill_the_server(blob in proptest::collection::vec((0u32..256).prop_map(|b| b as u8), 1..300)) {
+/// Pure random byte blobs as the opening bytes of a connection, on 12
+/// seeded cases.
+#[test]
+fn random_blobs_never_kill_the_server() {
+    for case in 0..12 {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let len = rng.gen_range(1usize..300);
+        let blob: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
         let server = test_server();
         poke(&server, &blob);
-        assert_server_live(&server, "blob");
+        assert_server_live(&server, &format!("case-{case}-blob"));
     }
 }

@@ -10,7 +10,8 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use smarttrack::{AnalysisConfig, Engine};
 use smarttrack_trace::binary::{StbAssembler, StbError, StbReader};
 use smarttrack_trace::gen::RandomTraceSpec;
@@ -151,51 +152,60 @@ fn stb_reader_streams_chunk_by_chunk_over_a_pipe() {
     producer.join().unwrap();
 }
 
-fn arb_trace() -> impl Strategy<Value = Trace> {
-    (2u32..5, 40usize..160, any::<u64>()).prop_map(|(threads, events, seed)| {
-        RandomTraceSpec {
-            threads,
-            events,
-            vars: 4,
-            locks: 2,
-            acquire_prob: 0.15,
-            release_prob: 0.2,
-            ..RandomTraceSpec::default()
-        }
-        .generate(seed)
-    })
+/// A small random lock trace over 2 to 4 threads.
+fn arb_trace(rng: &mut SmallRng) -> Trace {
+    RandomTraceSpec {
+        threads: rng.gen_range(2u32..5),
+        events: rng.gen_range(40usize..160),
+        vars: 4,
+        locks: 2,
+        acquire_prob: 0.15,
+        release_prob: 0.2,
+        ..RandomTraceSpec::default()
+    }
+    .generate(rng.gen())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Pushing the same bytes into `StbAssembler` at arbitrary split
-    /// granularity yields exactly `StbReader`'s events.
-    #[test]
-    fn assembler_equals_reader_on_random_traces(trace in arb_trace(), step in 1usize..97) {
+/// Pushing the same bytes into `StbAssembler` at arbitrary split
+/// granularity yields exactly `StbReader`'s events, on 16 seeded cases.
+#[test]
+fn assembler_equals_reader_on_random_traces() {
+    for case in 0..16 {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = arb_trace(rng);
+        let step = rng.gen_range(1usize..97);
         let bytes = stb_bytes(&trace);
+        let what = format!("case {case}: step {step}");
         let reader_events: Vec<_> = StbReader::new(&bytes[..])
-            .expect("header")
-            .collect::<Result<_, _>>()
-            .expect("reader decodes");
+            .and_then(|reader| reader.collect::<Result<_, _>>())
+            .unwrap_or_else(|e| panic!("{what}: the reader fails: {e}"));
 
         let mut asm = StbAssembler::new();
         let mut asm_events = Vec::new();
         for piece in bytes.chunks(step) {
-            asm.push(piece).expect("assembler accepts the stream");
+            let pushed = asm.push(piece);
+            pushed.unwrap_or_else(|e| panic!("{what}: the assembler fails: {e}"));
             while let Some(event) = asm.next_event() {
                 asm_events.push(event);
             }
         }
-        let total = asm.close().expect("well-terminated stream");
-        prop_assert_eq!(total, reader_events.len() as u64);
-        prop_assert_eq!(asm_events, reader_events);
+        let total = asm
+            .close()
+            .unwrap_or_else(|e| panic!("{what}: close fails: {e}"));
+        assert_eq!(total, reader_events.len() as u64, "{what}");
+        assert_eq!(asm_events, reader_events, "{what}");
     }
+}
 
-    /// A random cut point never panics either decoder and always produces
-    /// an error (no silent truncation) whose offset is within the stream.
-    #[test]
-    fn random_cuts_fail_precisely_not_loudly(trace in arb_trace(), cut_seed in any::<u64>()) {
+/// A random cut point never panics either decoder and always produces an
+/// error (no silent truncation) whose offset is within the stream, on 16
+/// seeded cases.
+#[test]
+fn random_cuts_fail_precisely_not_loudly() {
+    for case in 0..16 {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = arb_trace(rng);
+        let cut_seed: u64 = rng.gen();
         let bytes = stb_bytes(&trace);
         let cut = (cut_seed % bytes.len() as u64) as usize;
 
@@ -203,13 +213,23 @@ proptest! {
             Ok(reader) => reader.collect(),
             Err(e) => Err(e),
         };
-        prop_assert!(reader_result.is_err(), "cut at {} must fail", cut);
+        assert!(
+            reader_result.is_err(),
+            "case {case}: cut at {cut} must fail"
+        );
 
         let mut asm = StbAssembler::new();
-        let asm_result = asm.push(&bytes[..cut]).and_then(|()| asm.close().map(|_| ()));
-        let error = asm_result.expect_err("assembler must fail on a cut stream");
+        let asm_result = asm
+            .push(&bytes[..cut])
+            .and_then(|()| asm.close().map(|_| ()));
+        let Err(error) = asm_result else {
+            panic!("case {case}: the assembler must fail on a stream cut at {cut}");
+        };
         if let StbError::Truncated { offset, .. } = error {
-            prop_assert!(offset <= cut as u64, "offset {} past the cut {}", offset, cut);
+            assert!(
+                offset <= cut as u64,
+                "case {case}: offset {offset} past the cut {cut}"
+            );
         }
     }
 }

@@ -19,6 +19,7 @@ harness::slices!(
     hb_subset_syncp_on_random_traces,
     paper_figures_known_answers,
     partially_kept_barrier_round_yields_a_valid_witness,
+    skipped_barrier_round_drains_before_the_later_round,
     stb_round_trip_preserves_syncp_report,
     sync_heavy_profiles_are_sound_end_to_end,
     syncp_beside_an_online_lane_in_one_session,

@@ -12,227 +12,203 @@
 //!   round — freeze exactly the observed synchronization state, on both
 //!   randomized full-op traces and hand-built boundary cases.
 
-use proptest::prelude::*;
+use std::collections::HashSet;
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use smarttrack_trace::gen::RandomTraceSpec;
-use smarttrack_trace::{BarrierId, CondId, EventId, LockId, Op, ThreadId, TraceBuilder, VarId};
+use smarttrack_trace::{
+    BarrierId, CondId, EventId, LockId, Op, ThreadId, Trace, TraceBuilder, VarId,
+};
 use smarttrack_vindicate::{
     OracleResult, PredictableRaceOracle, WindowedConfig, WindowedRaceAnalysis,
 };
 use smarttrack_workloads::distant_race_trace;
 
-fn tiny_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (2u32..4, 10usize..22, any::<u64>()).prop_map(|(threads, events, seed)| {
-        (
-            RandomTraceSpec {
-                threads,
-                events,
-                vars: 3,
-                locks: 2,
-                max_nesting: 2,
-                acquire_prob: 0.25,
-                release_prob: 0.3,
-                write_frac: 0.5,
-                ..RandomTraceSpec::default()
-            },
-            seed,
-        )
-    })
+/// Oracle-sized lock traces.
+fn tiny_trace(rng: &mut SmallRng) -> Trace {
+    RandomTraceSpec {
+        threads: rng.gen_range(2u32..4),
+        events: rng.gen_range(10usize..22),
+        vars: 3,
+        locks: 2,
+        max_nesting: 2,
+        acquire_prob: 0.25,
+        release_prob: 0.3,
+        write_frac: 0.5,
+        ..RandomTraceSpec::default()
+    }
+    .generate(rng.gen())
 }
 
 /// Small traces over the full post-v1 op vocabulary: condvars, barriers,
 /// reader/writer locks, failed trylocks, fork/join. Event counts stay
 /// oracle-sized so the exhaustive queries conclude.
-fn tiny_full_spec() -> impl Strategy<Value = (RandomTraceSpec, u64)> {
-    (2u32..4, 12usize..22, any::<u64>(), any::<bool>()).prop_map(
-        |(threads, events, seed, fork_join)| {
-            (
-                RandomTraceSpec {
-                    threads,
-                    events,
-                    vars: 3,
-                    locks: 1,
-                    acquire_prob: 0.15,
-                    release_prob: 0.25,
-                    condvars: 1,
-                    condvar_prob: 0.1,
-                    barriers: 1,
-                    barrier_prob: 0.06,
-                    rwlocks: 1,
-                    rw_read_prob: 0.08,
-                    rw_write_prob: 0.04,
-                    rw_release_prob: 0.15,
-                    try_fail_prob: 0.02,
-                    write_frac: 0.5,
-                    fork_join,
-                    ..RandomTraceSpec::default()
-                },
-                seed,
-            )
-        },
-    )
+fn tiny_full_trace(rng: &mut SmallRng) -> Trace {
+    RandomTraceSpec {
+        threads: rng.gen_range(2u32..4),
+        events: rng.gen_range(12usize..22),
+        vars: 3,
+        locks: 1,
+        acquire_prob: 0.15,
+        release_prob: 0.25,
+        condvars: 1,
+        condvar_prob: 0.1,
+        barriers: 1,
+        barrier_prob: 0.06,
+        rwlocks: 1,
+        rw_read_prob: 0.08,
+        rw_write_prob: 0.04,
+        rw_release_prob: 0.15,
+        try_fail_prob: 0.02,
+        write_frac: 0.5,
+        fork_join: rng.gen(),
+        ..RandomTraceSpec::default()
+    }
+    .generate(rng.gen())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+/// Seeded cases per property.
+const CASES: u64 = 40;
 
-    /// Windowed soundness: freezing the prefix only *removes* reorderings,
-    /// so every windowed race must also be a race of the full trace.
-    #[test]
-    fn windowed_races_are_true_predictable_races(
-        (spec, seed) in tiny_spec(),
-        window in 4usize..12,
-    ) {
-        let trace = spec.generate(seed);
-        let report =
-            WindowedRaceAnalysis::new(&trace, WindowedConfig::with_window(window)).analyze();
-        let oracle = PredictableRaceOracle::new(&trace);
-        for &(a, b) in report.races() {
-            let verdict = oracle.is_predictable_race(a, b);
-            prop_assert!(
-                matches!(verdict, OracleResult::Race(..) | OracleResult::Unknown),
-                "window {window} reported ({a}, {b}) but the unbounded oracle refutes it"
-            );
-        }
+/// Windowed soundness: freezing the prefix only *removes* reorderings, so
+/// every windowed race must also be a race of the full trace.
+fn assert_windowed_races_are_true(trace: &Trace, window: usize, what: &str) {
+    let report = WindowedRaceAnalysis::new(trace, WindowedConfig::with_window(window)).analyze();
+    let oracle = PredictableRaceOracle::new(trace);
+    for &(a, b) in report.races() {
+        let verdict = oracle.is_predictable_race(a, b);
+        assert!(
+            matches!(verdict, OracleResult::Race(..) | OracleResult::Unknown),
+            "{what}: window {window} reported ({a}, {b}) but the unbounded oracle refutes it"
+        );
     }
+}
 
-    /// Doubling the window (same alignment) never loses a race: every pair
-    /// co-visible in a small window is co-visible in the enclosing doubled
-    /// window, whose frozen prefix is no longer.
-    #[test]
-    fn doubling_the_window_is_monotone((spec, seed) in tiny_spec(), window in 3usize..8) {
-        let trace = spec.generate(seed);
+/// First-window refutation is final (the `WindowedRaceAnalysis::analyze`
+/// optimization): a naive variant that re-queries every conflicting pair in
+/// every window it appears in finds exactly the same races.
+fn assert_refutation_is_final(trace: &Trace, window: usize, what: &str) {
+    let stride = (window / 2).max(1);
+    let config = WindowedConfig {
+        window,
+        stride,
+        budget_per_query: 500_000,
+    };
+    let fast = WindowedRaceAnalysis::new(trace, config).analyze();
+
+    let oracle = PredictableRaceOracle::new(trace).with_budget(500_000);
+    let mut naive: HashSet<_> = Default::default();
+    let n = trace.len();
+    let mut lo = 0usize;
+    loop {
+        let hi = (lo + window).min(n);
+        for i in lo..hi {
+            for j in (i + 1)..hi {
+                let (a, b) = (EventId::new(i as u32), EventId::new(j as u32));
+                if !trace.event(a).conflicts_with(trace.event(b)) {
+                    continue;
+                }
+                if let OracleResult::Race(x, y) = oracle.pair_in_window(a, b, lo, hi).result {
+                    naive.insert((x, y));
+                }
+            }
+        }
+        if hi == n {
+            break;
+        }
+        lo += stride;
+    }
+    let fast_set: HashSet<_> = fast.races().iter().copied().collect();
+    assert_eq!(fast_set, naive, "{what}: window {window}");
+}
+
+#[test]
+fn windowed_races_are_true_predictable_races() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = tiny_trace(rng);
+        assert_windowed_races_are_true(&trace, rng.gen_range(4..12), &format!("case {case}"));
+    }
+}
+
+/// Doubling the window (same alignment) never loses a race: every pair
+/// co-visible in a small window is co-visible in the enclosing doubled
+/// window, whose frozen prefix is no longer.
+#[test]
+fn doubling_the_window_is_monotone() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = tiny_trace(rng);
+        let window = rng.gen_range(3usize..8);
         let run = |w: usize| {
-            let config = WindowedConfig { window: w, stride: w, budget_per_query: 500_000 };
+            let config = WindowedConfig {
+                window: w,
+                stride: w,
+                budget_per_query: 500_000,
+            };
             WindowedRaceAnalysis::new(&trace, config).analyze()
         };
         let small = run(window);
         let large = run(window * 2);
         for pair in small.races() {
-            prop_assert!(
+            assert!(
                 large.races().contains(pair),
-                "window {window} found {pair:?} but window {} lost it", window * 2
+                "case {case}: window {window} found {pair:?} but window {} lost it",
+                window * 2
             );
         }
     }
+}
 
-    /// First-window refutation is final (the `WindowedRaceAnalysis::analyze`
-    /// optimization): a naive variant that re-queries every pair in every
-    /// window finds exactly the same races. This pins the removability
-    /// argument — later windows' larger horizon adds no reachable races for
-    /// an already-refuted pair.
-    #[test]
-    fn later_windows_never_revive_a_refuted_pair(
-        (spec, seed) in tiny_spec(),
-        window in 3usize..9,
-    ) {
-        let trace = spec.generate(seed);
-        let stride = (window / 2).max(1);
-        let config = WindowedConfig { window, stride, budget_per_query: 500_000 };
-        let fast = WindowedRaceAnalysis::new(&trace, config).analyze();
-
-        // Naive: query every conflicting pair in every window it appears in.
-        let oracle = PredictableRaceOracle::new(&trace).with_budget(500_000);
-        let mut naive: std::collections::HashSet<_> = Default::default();
-        let n = trace.len();
-        let mut lo = 0usize;
-        loop {
-            let hi = (lo + window).min(n);
-            for i in lo..hi {
-                for j in (i + 1)..hi {
-                    let (a, b) = (smarttrack_trace::EventId::new(i as u32),
-                                  smarttrack_trace::EventId::new(j as u32));
-                    if !trace.event(a).conflicts_with(trace.event(b)) {
-                        continue;
-                    }
-                    if let OracleResult::Race(x, y) = oracle.pair_in_window(a, b, lo, hi).result {
-                        naive.insert((x, y));
-                    }
-                }
-            }
-            if hi == n {
-                break;
-            }
-            lo += stride;
-        }
-        let fast_set: std::collections::HashSet<_> = fast.races().iter().copied().collect();
-        prop_assert_eq!(fast_set, naive);
+/// Later windows' larger horizon adds no reachable race for a pair the
+/// first window refuted.
+#[test]
+fn later_windows_never_revive_a_refuted_pair() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = tiny_trace(rng);
+        assert_refutation_is_final(&trace, rng.gen_range(3..9), &format!("case {case}"));
     }
+}
 
-    /// The distant-race generator delivers exactly one predictable race —
-    /// the advertised pair — verified exhaustively at oracle-sized
-    /// distances.
-    #[test]
-    fn distant_race_generator_races_exactly_as_advertised(distance in 0usize..36) {
+/// The distant-race generator delivers exactly one predictable race — the
+/// advertised pair — verified exhaustively at oracle-sized distances.
+#[test]
+fn distant_race_generator_races_exactly_as_advertised() {
+    for case in 0..CASES {
+        let distance = SmallRng::seed_from_u64(case).gen_range(0usize..36);
         let (trace, first, second) = distant_race_trace(distance);
         let oracle = PredictableRaceOracle::new(&trace).with_budget(2_000_000);
-        prop_assert_eq!(
-            oracle.any_predictable_race(),
-            OracleResult::Race(first, second)
-        );
+        let what = format!("case {case}: distance {distance}");
+        let found = oracle.any_predictable_race();
+        assert_eq!(found, OracleResult::Race(first, second), "{what}");
     }
+}
 
-    /// Windowed soundness over the full op vocabulary: wherever the window
-    /// cut lands — mid read-section, mid barrier round, between a notify
-    /// and its wait — a windowed race must be a race of the unconstrained
-    /// trace.
-    #[test]
-    fn windowed_races_on_full_op_traces_are_true_predictable_races(
-        (spec, seed) in tiny_full_spec(),
-        window in 4usize..12,
-    ) {
-        let trace = spec.generate(seed);
-        let report =
-            WindowedRaceAnalysis::new(&trace, WindowedConfig::with_window(window)).analyze();
-        let oracle = PredictableRaceOracle::new(&trace);
-        for &(a, b) in report.races() {
-            let verdict = oracle.is_predictable_race(a, b);
-            prop_assert!(
-                matches!(verdict, OracleResult::Race(..) | OracleResult::Unknown),
-                "window {window} reported ({a}, {b}) but the unbounded oracle refutes it"
-            );
-        }
+/// Windowed soundness over the full op vocabulary: wherever the window cut
+/// lands — mid read-section, mid barrier round, between a notify and its
+/// wait — a windowed race must be a race of the unconstrained trace.
+#[test]
+fn windowed_races_on_full_op_traces_are_true_predictable_races() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = tiny_full_trace(rng);
+        assert_windowed_races_are_true(&trace, rng.gen_range(4..12), &format!("case {case}"));
     }
+}
 
-    /// First-window refutation finality extends to the post-v1 ops: the
-    /// removability argument (every enabling event — wake-up notify, round
-    /// enter, mode-respecting release — precedes its dependent in the
-    /// observed trace) keeps the dedup optimization exact on traces with
-    /// condvars, barriers, rwlocks, and failed trylocks.
-    #[test]
-    fn refutation_finality_survives_full_op_traces(
-        (spec, seed) in tiny_full_spec(),
-        window in 4usize..10,
-    ) {
-        let trace = spec.generate(seed);
-        let stride = (window / 2).max(1);
-        let config = WindowedConfig { window, stride, budget_per_query: 500_000 };
-        let fast = WindowedRaceAnalysis::new(&trace, config).analyze();
-
-        // Naive: query every conflicting pair in every window it appears in.
-        let oracle = PredictableRaceOracle::new(&trace).with_budget(500_000);
-        let mut naive: std::collections::HashSet<_> = Default::default();
-        let n = trace.len();
-        let mut lo = 0usize;
-        loop {
-            let hi = (lo + window).min(n);
-            for i in lo..hi {
-                for j in (i + 1)..hi {
-                    let (a, b) = (EventId::new(i as u32), EventId::new(j as u32));
-                    if !trace.event(a).conflicts_with(trace.event(b)) {
-                        continue;
-                    }
-                    if let OracleResult::Race(x, y) = oracle.pair_in_window(a, b, lo, hi).result {
-                        naive.insert((x, y));
-                    }
-                }
-            }
-            if hi == n {
-                break;
-            }
-            lo += stride;
-        }
-        let fast_set: std::collections::HashSet<_> = fast.races().iter().copied().collect();
-        prop_assert_eq!(fast_set, naive);
+/// First-window refutation finality extends to the post-v1 ops: the
+/// removability argument (every enabling event — wake-up notify, round
+/// enter, mode-respecting release — precedes its dependent in the observed
+/// trace) keeps the dedup optimization exact on traces with condvars,
+/// barriers, rwlocks, and failed trylocks.
+#[test]
+fn refutation_finality_survives_full_op_traces() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let trace = tiny_full_trace(rng);
+        assert_refutation_is_final(&trace, rng.gen_range(4..10), &format!("case {case}"));
     }
 }
 
