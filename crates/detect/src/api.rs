@@ -238,9 +238,13 @@ pub trait Detector {
     /// Rc-shared CCS metadata and heap-spilled clocks beyond
     /// [`smarttrack_clock::INLINE_CLOCKS`] threads are captured exactly by
     /// the end-of-stream [`footprint_bytes`](Detector::footprint_bytes)
-    /// walk instead (see [`RunSummary::peak_footprint_bytes`]). The default
-    /// forwards to the exact walk, which is correct for detectors whose
-    /// walks are already cheap.
+    /// walk instead (see [`RunSummary::peak_footprint_bytes`]). Capacities
+    /// spread over one entry per lock or per race — the WCP and DC rule (b)
+    /// queues, the Unopt and FTO critical-section tables, the report's
+    /// prior-thread lists — are running byte counts, kept at each push
+    /// that can grow them; debug builds assert every count against the
+    /// walk it replaces. The default forwards to the exact walk, which is
+    /// correct for detectors whose walks are already cheap.
     fn state_bytes(&self) -> usize {
         self.footprint_bytes()
     }
@@ -350,7 +354,10 @@ pub struct RunSummary {
     /// has. Before the hot-path metadata overhaul every in-stream sample
     /// ran the exact walk, which dominated total analysis time on
     /// epoch-friendly workloads; the estimate/exact split removes that
-    /// cost without changing what the final number means.
+    /// cost without changing what the final number means. The estimate's
+    /// per-lock and per-race terms are running counts (see
+    /// [`Detector::state_bytes`]), so a sample costs the same early and
+    /// late in a stream; debug builds check each count against its walk.
     pub peak_footprint_bytes: usize,
     /// Exact live metadata bytes at end of stream (the final
     /// [`Detector::footprint_bytes`] walk): the number to compare across

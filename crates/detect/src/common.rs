@@ -16,6 +16,16 @@ pub fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
     &mut v[i]
 }
 
+/// Pushes `x` onto `v` and adds the bytes of any capacity growth to
+/// `bytes`: the running counts that keep the `resident_bytes` estimates
+/// O(1) grow here.
+#[inline]
+pub fn push_counted<T>(v: &mut Vec<T>, x: T, bytes: &mut usize) {
+    let before = v.capacity();
+    v.push(x);
+    *bytes += (v.capacity() - before) * std::mem::size_of::<T>();
+}
+
 /// Tracks the set of locks held by each thread, in acquisition order
 /// (`HeldLocks(t)` in the paper's algorithms), with the hold *mode*: `true`
 /// for exclusive/write holds (plain acquires and `acqw`), `false` for
@@ -155,7 +165,7 @@ impl Default for LockCs {
 /// For the "w/ G" graph-building variants, each `Lr`/`Lw` time also carries
 /// the ids of the release events that contributed to it (latest per thread),
 /// so rule (a) joins can be recorded as graph edges.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct LockVarTable {
     /// Per variable: head of its pair-entry chain (`+1`, 0 = empty).
     heads: Vec<u32>,
@@ -168,6 +178,28 @@ pub struct LockVarTable {
     locks: Vec<LockCs>,
     /// Whether to track contributing release events for graph recording.
     track_sources: bool,
+    /// Running sum of every lock's `cur_read`/`cur_write` capacity, in
+    /// bytes: grown by the marks, never shrunk (a release clears the
+    /// buffers but keeps them), so [`resident_bytes`](Self::resident_bytes)
+    /// is O(1).
+    marks: usize,
+}
+
+/// A cloned `Vec` has capacity equal to its length, so the copy recounts.
+impl Clone for LockVarTable {
+    fn clone(&self) -> Self {
+        let mut copy = LockVarTable {
+            heads: self.heads.clone(),
+            pool: self.pool.clone(),
+            read_times: self.read_times.clone(),
+            write_times: self.write_times.clone(),
+            locks: self.locks.clone(),
+            track_sources: self.track_sources,
+            marks: 0,
+        };
+        copy.marks = copy.walk_mark_bytes();
+        copy
+    }
 }
 
 impl LockVarTable {
@@ -228,7 +260,7 @@ impl LockVarTable {
         let e = &mut self.pool[i];
         if e.read_gen != gen {
             e.read_gen = gen;
-            self.locks[m.index()].cur_read.push(x);
+            push_counted(&mut self.locks[m.index()].cur_read, x, &mut self.marks);
         }
     }
 
@@ -241,7 +273,7 @@ impl LockVarTable {
         let e = &mut self.pool[i];
         if e.write_gen != gen {
             e.write_gen = gen;
-            self.locks[m.index()].cur_write.push(x);
+            push_counted(&mut self.locks[m.index()].cur_write, x, &mut self.marks);
         }
     }
 
@@ -325,22 +357,26 @@ impl LockVarTable {
         };
     }
 
-    /// Cheap resident bytes (capacities only, O(#locks)) — the running
+    /// Cheap resident bytes (capacities only, O(1)) — the running
     /// estimate sampled per event.
     pub fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(self.marks, self.walk_mark_bytes(), "section mark bytes");
         self.heads.capacity() * std::mem::size_of::<u32>()
             + self.pool.capacity() * std::mem::size_of::<PairEntry>()
             + (self.read_times.capacity() + self.write_times.capacity())
                 * std::mem::size_of::<LTime>()
             + self.locks.capacity() * std::mem::size_of::<LockCs>()
-            + self
-                .locks
-                .iter()
-                .map(|cs| {
-                    (cs.cur_read.capacity() + cs.cur_write.capacity())
-                        * std::mem::size_of::<VarId>()
-                })
-                .sum::<usize>()
+            + self.marks
+    }
+
+    /// What the running mark count holds, by walking every lock: O(#locks).
+    fn walk_mark_bytes(&self) -> usize {
+        self.locks
+            .iter()
+            .map(|cs| {
+                (cs.cur_read.capacity() + cs.cur_write.capacity()) * std::mem::size_of::<VarId>()
+            })
+            .sum()
     }
 
     /// Exact heap bytes including per-entry clock spill (the dominant cost
@@ -430,11 +466,14 @@ struct ReadLockState {
 }
 
 impl ReadLockState {
+    /// Folds `vars` into `into` at `now`, adding any capacity growth to
+    /// `bytes`.
     fn fold(
         into: &mut Vec<(VarId, LTime)>,
         vars: &[VarId],
         now: &VectorClock,
         source: Option<(ThreadId, EventId)>,
+        bytes: &mut usize,
     ) {
         for &x in vars {
             match into.iter_mut().find(|(v, _)| *v == x) {
@@ -442,10 +481,22 @@ impl ReadLockState {
                 None => {
                     let mut lt = LTime::default();
                     lt.absorb(now, source);
-                    into.push((x, lt));
+                    push_counted(into, (x, lt), bytes);
                 }
             }
         }
+    }
+
+    /// Resident bytes: the capacities of the lock's lists.
+    fn resident_bytes(&self) -> usize {
+        (self.read_times.capacity() + self.write_times.capacity())
+            * std::mem::size_of::<(VarId, LTime)>()
+            + self.ongoing.capacity() * std::mem::size_of::<(ThreadId, Vec<VarId>, Vec<VarId>)>()
+            + self
+                .ongoing
+                .iter()
+                .map(|(_, r, w)| (r.capacity() + w.capacity()) * std::mem::size_of::<VarId>())
+                .sum::<usize>()
     }
 }
 
@@ -459,13 +510,31 @@ impl ReadLockState {
 /// section conflicts only with prior write-mode sections — two read sections
 /// on the same lock can overlap in a reordering, so rule (a) must not order
 /// them (Genç et al., arXiv:1904.13088).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct ReadSectionTable {
     per_lock: Vec<ReadLockState>,
     /// Whether any read section was ever opened — lets the non-rwlock hot
     /// path skip every query with one branch.
     any: bool,
     track_sources: bool,
+    /// Running sum of every lock's list capacities, in bytes: grown by
+    /// pushes, and shrunk when a closing section's variable lists are
+    /// dropped, so [`resident_bytes`](Self::resident_bytes) is O(1).
+    lists: usize,
+}
+
+/// A cloned `Vec` has capacity equal to its length, so the copy recounts.
+impl Clone for ReadSectionTable {
+    fn clone(&self) -> Self {
+        let mut copy = ReadSectionTable {
+            per_lock: self.per_lock.clone(),
+            any: self.any,
+            track_sources: self.track_sources,
+            lists: 0,
+        };
+        copy.lists = copy.walk_list_bytes();
+        copy
+    }
 }
 
 impl ReadSectionTable {
@@ -488,7 +557,11 @@ impl ReadSectionTable {
         self.any = true;
         let st = slot(&mut self.per_lock, m.index());
         if !st.ongoing.iter().any(|(u, ..)| *u == t) {
-            st.ongoing.push((t, Vec::new(), Vec::new()));
+            push_counted(
+                &mut st.ongoing,
+                (t, Vec::new(), Vec::new()),
+                &mut self.lists,
+            );
         }
     }
 
@@ -497,7 +570,7 @@ impl ReadSectionTable {
         let st = slot(&mut self.per_lock, m.index());
         if let Some((_, reads, _)) = st.ongoing.iter_mut().find(|(u, ..)| *u == t) {
             if !reads.contains(&x) {
-                reads.push(x);
+                push_counted(reads, x, &mut self.lists);
             }
         }
     }
@@ -507,7 +580,7 @@ impl ReadSectionTable {
         let st = slot(&mut self.per_lock, m.index());
         if let Some((.., writes)) = st.ongoing.iter_mut().find(|(u, ..)| *u == t) {
             if !writes.contains(&x) {
-                writes.push(x);
+                push_counted(writes, x, &mut self.lists);
             }
         }
     }
@@ -519,8 +592,9 @@ impl ReadSectionTable {
         let st = slot(&mut self.per_lock, m.index());
         if let Some(pos) = st.ongoing.iter().position(|(u, ..)| *u == t) {
             let (_, reads, writes) = st.ongoing.remove(pos);
-            ReadLockState::fold(&mut st.read_times, &reads, now, source);
-            ReadLockState::fold(&mut st.write_times, &writes, now, source);
+            self.lists -= (reads.capacity() + writes.capacity()) * std::mem::size_of::<VarId>();
+            ReadLockState::fold(&mut st.read_times, &reads, now, source, &mut self.lists);
+            ReadLockState::fold(&mut st.write_times, &writes, now, source, &mut self.lists);
         }
     }
 
@@ -561,25 +635,18 @@ impl ReadSectionTable {
                 .sum::<usize>()
     }
 
-    /// Cheap resident bytes (capacities only).
+    /// Cheap resident bytes (capacities only, O(1)).
     pub fn resident_bytes(&self) -> usize {
-        self.per_lock.capacity() * std::mem::size_of::<ReadLockState>()
-            + self
-                .per_lock
-                .iter()
-                .map(|st| {
-                    (st.read_times.capacity() + st.write_times.capacity())
-                        * std::mem::size_of::<(VarId, LTime)>()
-                        + st.ongoing.capacity()
-                            * std::mem::size_of::<(ThreadId, Vec<VarId>, Vec<VarId>)>()
-                        + st.ongoing
-                            .iter()
-                            .map(|(_, r, w)| {
-                                (r.capacity() + w.capacity()) * std::mem::size_of::<VarId>()
-                            })
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
+        debug_assert_eq!(self.lists, self.walk_list_bytes(), "read section bytes");
+        self.per_lock.capacity() * std::mem::size_of::<ReadLockState>() + self.lists
+    }
+
+    /// What the running list count holds, by walking every lock: O(#locks).
+    fn walk_list_bytes(&self) -> usize {
+        self.per_lock
+            .iter()
+            .map(ReadLockState::resident_bytes)
+            .sum()
     }
 }
 
@@ -811,6 +878,9 @@ pub fn vc_table_resident_bytes(vcs: &Vec<VectorClock>) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn t(i: u32) -> ThreadId {
@@ -821,6 +891,52 @@ mod tests {
     }
     fn x(i: u32) -> VarId {
         VarId::new(i)
+    }
+
+    /// Seeded traffic through [`CsTables`]: 14 threads nest up to three
+    /// read- or write-mode sections over 30 locks and access 40 variables
+    /// under them, and the tables are cloned mid-stream. After every
+    /// operation the running mark and list counts equal their walks.
+    #[test]
+    fn running_table_counts_match_the_walks() {
+        for seed in 0..4u32 {
+            let mut rng = SmallRng::seed_from_u64(seed.into());
+            let mut cs = CsTables::new(seed % 2 == 1);
+            let mut holds: Vec<Vec<LockId>> = vec![Vec::new(); 14];
+            for step in 0..3_000u32 {
+                let ti = rng.gen_range(0..14);
+                let (tid, held) = (t(ti), &mut holds[ti as usize]);
+                match rng.gen_range(0..4) {
+                    0 if held.len() < 3 => {
+                        let lock = m(rng.gen_range(0..30));
+                        if !held.contains(&lock) {
+                            let read = rng.gen_bool(0.3);
+                            let mode = LockMode::of_write(!read);
+                            cs.acquire(tid, lock, mode);
+                            held.push(lock);
+                        }
+                    }
+                    1 if !held.is_empty() => {
+                        let lock = held.remove(rng.gen_range(0..held.len()));
+                        let mode = cs.release(tid, lock);
+                        let now: VectorClock = [(tid, step + 1)].into_iter().collect();
+                        cs.fold(tid, lock, mode, &now, EventId::new(step));
+                    }
+                    _ => {
+                        let var = x(rng.gen_range(0..40));
+                        cs.rule_a(tid, var, rng.gen_bool(0.5), seed % 2 == 0, |_| {});
+                    }
+                }
+                if step == 1_500 {
+                    cs = cs.clone();
+                }
+                let at = format!("seed {seed}, step {step}");
+                let (lockvar, reads) = (&cs.lockvar, &cs.read_sections);
+                assert_eq!(lockvar.marks, lockvar.walk_mark_bytes(), "{at}");
+                assert_eq!(reads.lists, reads.walk_list_bytes(), "{at}");
+            }
+            assert!(cs.lockvar.marks > 0 && cs.read_sections.lists > 0);
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! lifetime of `serve` sessions carrying an `osr` lane, or run it offline.
 
 use std::collections::HashSet;
+use std::mem::size_of;
 
 use smarttrack_trace::{EventId, Op, Trace};
 
@@ -117,6 +118,23 @@ impl LockRule for Reversals {
 
     fn races(closure: &mut Closure<Self>, core: &SyncPCore, a: u32, b: u32) -> bool {
         osr_check(closure, core, a, b).is_some()
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.resident_bytes()
+            + self
+                .locks
+                .iter()
+                .map(|(_, sections)| sections.capacity() * size_of::<u32>())
+                .sum::<usize>()
+    }
+
+    /// The pull journal keeps its peak capacity: a lock with `k` sections
+    /// in the ideal journals `k(k − 1)/2` pulls per attempt.
+    fn resident_bytes(&self) -> usize {
+        self.locks.capacity() * size_of::<(u32, Vec<u32>)>()
+            + self.directives.capacity() * size_of::<Directive>()
+            + self.pulls.capacity() * size_of::<(u32, u32, bool)>()
     }
 }
 

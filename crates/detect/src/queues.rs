@@ -19,7 +19,7 @@
 use smarttrack_clock::{ClockValue, ThreadId, VectorClock};
 use smarttrack_trace::{EventId, LockId};
 
-use crate::common::slot;
+use crate::common::{push_counted, slot};
 
 /// An acquire entry: the acquire's time in its thread's clock, either a full
 /// vector clock (Unopt, FTO) or just the local clock value (SmartTrack).
@@ -78,7 +78,20 @@ impl CsLog {
         self.base + self.acq.len()
     }
 
-    /// Cheap resident bytes: vector capacities only.
+    /// Appends an acquire, adding any capacity growth to `bytes`.
+    fn push_acquire(&mut self, entry: AcqEntry, write: bool, bytes: &mut usize) {
+        push_counted(&mut self.acq, entry, bytes);
+        push_counted(&mut self.write, write, bytes);
+    }
+
+    /// Appends the release matching the oldest unreleased acquire, adding
+    /// any capacity growth to `bytes`.
+    fn push_release(&mut self, rel: RelEntry, bytes: &mut usize) {
+        push_counted(&mut self.rel, rel, bytes);
+        debug_assert!(self.rel.len() <= self.acq.len(), "release without acquire");
+    }
+
+    /// Resident bytes: vector capacities only.
     fn resident_bytes(&self) -> usize {
         self.acq.capacity() * std::mem::size_of::<AcqEntry>()
             + self.rel.capacity() * std::mem::size_of::<RelEntry>()
@@ -92,8 +105,13 @@ impl CsLog {
     }
 }
 
+/// `logs[m][t]`, growing both levels with empty logs.
+fn log(logs: &mut Vec<Vec<CsLog>>, m: LockId, t: ThreadId) -> &mut CsLog {
+    slot(slot(logs, m.index()), t.index())
+}
+
 /// The DC rule (b) queues (`Acq_{m,t}(t')` / `Rel_{m,t}(t')`).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DcRuleBQueues {
     /// `logs[m][t']` — acquire/release log of thread `t'` on lock `m`.
     logs: Vec<Vec<CsLog>>,
@@ -102,6 +120,24 @@ pub struct DcRuleBQueues {
     /// Total thread count, if known: enables sound compaction (an entry can
     /// only be dropped once *every* possible releaser has consumed it).
     thread_bound: Option<usize>,
+    /// Running sum of the log and cursor-row capacities, in bytes: grown at
+    /// every push or resize that can reallocate (draining never shrinks a
+    /// capacity), so [`resident_bytes`](Self::resident_bytes) is O(1).
+    resident: usize,
+}
+
+/// A cloned `Vec` has capacity equal to its length, so the copy recounts.
+impl Clone for DcRuleBQueues {
+    fn clone(&self) -> Self {
+        let mut copy = DcRuleBQueues {
+            logs: self.logs.clone(),
+            cursors: self.cursors.clone(),
+            thread_bound: self.thread_bound,
+            resident: 0,
+        };
+        copy.resident = copy.walk_resident_bytes();
+        copy
+    }
 }
 
 impl DcRuleBQueues {
@@ -114,17 +150,10 @@ impl DcRuleBQueues {
         self.thread_bound = Some(threads);
     }
 
-    fn log_mut(&mut self, m: LockId, t: ThreadId) -> &mut CsLog {
-        let lock = slot(&mut self.logs, m.index());
-        slot(lock, t.index())
-    }
-
     /// Handles `acq(m)` by `t` (Algorithm 1 line 2 / Algorithm 3 line 2).
     /// `write` is the hold mode: `false` for read-mode rwlock sections.
     pub fn on_acquire(&mut self, m: LockId, t: ThreadId, entry: &AcqEntry, write: bool) {
-        let log = self.log_mut(m, t);
-        log.acq.push(entry.clone());
-        log.write.push(write);
+        log(&mut self.logs, m, t).push_acquire(entry.clone(), write, &mut self.resident);
     }
 
     /// Handles `rel(m)` by `t` (Algorithm 1 lines 4–8): consumes every other
@@ -162,7 +191,9 @@ impl DcRuleBQueues {
         }
         let row = &mut lock_cursors[t.index()];
         if row.len() < nthreads {
+            let before = row.capacity();
             row.resize(nthreads, 0);
+            self.resident += (row.capacity() - before) * std::mem::size_of::<usize>();
         }
         for (u, log) in lock_logs.iter().enumerate() {
             if u == t.index() {
@@ -207,12 +238,11 @@ impl DcRuleBQueues {
             }
         }
         // Publish t's own release (matching its oldest un-released acquire).
-        let own = &mut lock_logs[t.index()];
-        own.rel.push(RelEntry {
+        let rel = RelEntry {
             clock: now.clone(),
             event: release_event,
-        });
-        debug_assert!(own.rel.len() <= own.acq.len(), "release without acquire");
+        };
+        lock_logs[t.index()].push_release(rel, &mut self.resident);
         self.compact(m);
     }
 
@@ -268,8 +298,15 @@ impl DcRuleBQueues {
             + self.cursor_bytes()
     }
 
-    /// Cheap resident bytes (capacities only, O(#locks × #threads)).
+    /// Cheap resident bytes (capacities only): the running count, O(1).
     pub fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(self.resident, self.walk_resident_bytes(), "DC queue bytes");
+        self.resident
+    }
+
+    /// What [`resident_bytes`](Self::resident_bytes) counts, by walking
+    /// every log and cursor row: O(#locks × #threads).
+    fn walk_resident_bytes(&self) -> usize {
         self.logs
             .iter()
             .flat_map(|l| l.iter())
@@ -292,36 +329,44 @@ impl DcRuleBQueues {
 ///
 /// Acquire entries are epochs of the acquirer's HB clock; release entries are
 /// full HB clocks of the matching releases.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct WcpRuleBQueues {
     /// `per_lock[m][t']` — shared acquire/release queue of `m`-critical
     /// sections by `t'`, with a single consumption cursor.
     per_lock: Vec<Vec<CsLog>>,
+    /// Running sum of the log capacities, in bytes, as in
+    /// [`DcRuleBQueues`].
+    resident: usize,
+}
+
+/// A cloned `Vec` has capacity equal to its length, so the copy recounts.
+impl Clone for WcpRuleBQueues {
+    fn clone(&self) -> Self {
+        let mut copy = WcpRuleBQueues {
+            per_lock: self.per_lock.clone(),
+            resident: 0,
+        };
+        copy.resident = copy.walk_resident_bytes();
+        copy
+    }
 }
 
 impl WcpRuleBQueues {
-    fn log_mut(&mut self, m: LockId, t: ThreadId) -> &mut CsLog {
-        let lock = slot(&mut self.per_lock, m.index());
-        slot(lock, t.index())
-    }
-
     /// Records `acq(m)` by `t` with local HB clock value `local`.
     /// `write` is the hold mode: `false` for read-mode rwlock sections.
     pub fn on_acquire(&mut self, m: LockId, t: ThreadId, local: ClockValue, write: bool) {
-        let log = self.log_mut(m, t);
-        log.acq.push(AcqEntry::Epoch(local));
-        log.write.push(write);
+        let entry = AcqEntry::Epoch(local);
+        log(&mut self.per_lock, m, t).push_acquire(entry, write, &mut self.resident);
     }
 
     /// Records the release time matching the oldest un-matched acquire of `m`
     /// by `t` (call at `rel(m)` by `t` after [`WcpRuleBQueues::consume`]).
     pub fn on_release_publish(&mut self, m: LockId, t: ThreadId, hb: &VectorClock, event: EventId) {
-        let log = self.log_mut(m, t);
-        log.rel.push(RelEntry {
+        let rel = RelEntry {
             clock: hb.clone(),
             event,
-        });
-        debug_assert!(log.rel.len() <= log.acq.len(), "release without acquire");
+        };
+        log(&mut self.per_lock, m, t).push_release(rel, &mut self.resident);
     }
 
     /// At `rel(m)` by `t`: consumes every other thread's acquires that are
@@ -378,8 +423,15 @@ impl WcpRuleBQueues {
             .sum()
     }
 
-    /// Cheap resident bytes (capacities only, O(#locks × #threads)).
+    /// Cheap resident bytes (capacities only): the running count, O(1).
     pub fn resident_bytes(&self) -> usize {
+        debug_assert_eq!(self.resident, self.walk_resident_bytes(), "WCP queue bytes");
+        self.resident
+    }
+
+    /// What [`resident_bytes`](Self::resident_bytes) counts, by walking
+    /// every log: O(#locks × #threads).
+    fn walk_resident_bytes(&self) -> usize {
         self.per_lock
             .iter()
             .flat_map(|l| l.iter())
@@ -390,7 +442,94 @@ impl WcpRuleBQueues {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// Drives both queue kinds with seeded well-formed lock traffic and
+    /// checks after every operation that each running byte count equals its
+    /// walk. 14 threads spill clocks past `INLINE_CLOCKS`; one hot lock
+    /// among 24 and the thread bound make DC compaction drain; sections are
+    /// read- and write-mode; every queue is cloned mid-stream and the
+    /// clones carry on.
+    #[test]
+    fn running_byte_counts_match_the_walks() {
+        const THREADS: usize = 14;
+        const LOCKS: u32 = 24;
+        const STEPS: u32 = 6_000;
+        for seed in 0..2 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut dc_vc = DcRuleBQueues::default();
+            let mut dc_epoch = DcRuleBQueues::default();
+            dc_epoch.set_thread_bound(THREADS);
+            let mut wcp = WcpRuleBQueues::default();
+            let mut clocks: Vec<VectorClock> = (0..THREADS as u32).map(|i| vc(&[(i, 1)])).collect();
+            let mut lock_clocks = vec![VectorClock::new(); LOCKS as usize];
+            let mut held: Vec<Option<(LockId, bool)>> = vec![None; THREADS];
+            let mut writer = vec![false; LOCKS as usize];
+            let mut readers = vec![0u32; LOCKS as usize];
+            for step in 0..STEPS {
+                // Half the steps go to a holder, so sections stay short.
+                let holders: Vec<usize> = (0..THREADS).filter(|&i| held[i].is_some()).collect();
+                let ti = if !holders.is_empty() && rng.gen_bool(0.5) {
+                    holders[rng.gen_range(0..holders.len())]
+                } else {
+                    rng.gen_range(0..THREADS)
+                };
+                let tid = t(ti as u32);
+                if let Some((lock, write)) = held[ti].take() {
+                    let id = EventId::new(step);
+                    clocks[ti].increment(tid);
+                    let now = clocks[ti].clone();
+                    for q in [&mut dc_vc, &mut dc_epoch] {
+                        q.on_release(lock, tid, &mut now.clone(), id, write, |_| {});
+                    }
+                    wcp.consume(lock, tid, &mut now.clone(), write, |_| {});
+                    wcp.on_release_publish(lock, tid, &now, id);
+                    lock_clocks[lock.index()].join(&now);
+                    if write {
+                        writer[lock.index()] = false;
+                    } else {
+                        readers[lock.index()] -= 1;
+                    }
+                } else {
+                    let hot = rng.gen_bool(0.5);
+                    let lock = m(if hot { 0 } else { rng.gen_range(0..LOCKS) });
+                    let write = rng.gen_bool(0.75);
+                    let l = lock.index();
+                    if !writer[l] && (!write || readers[l] == 0) {
+                        clocks[ti].join(&lock_clocks[l]);
+                        let local = clocks[ti].increment(tid);
+                        dc_vc.on_acquire(lock, tid, &AcqEntry::Vc(clocks[ti].clone()), write);
+                        dc_epoch.on_acquire(lock, tid, &AcqEntry::Epoch(local), write);
+                        wcp.on_acquire(lock, tid, local, write);
+                        held[ti] = Some((lock, write));
+                        if write {
+                            writer[l] = true;
+                        } else {
+                            readers[l] += 1;
+                        }
+                    }
+                }
+                if step == STEPS / 2 {
+                    (dc_vc, dc_epoch, wcp) = (dc_vc.clone(), dc_epoch.clone(), wcp.clone());
+                }
+                let at = format!("seed {seed}, step {step}");
+                assert_eq!(dc_vc.resident_bytes(), dc_vc.walk_resident_bytes(), "{at}");
+                assert_eq!(
+                    dc_epoch.resident_bytes(),
+                    dc_epoch.walk_resident_bytes(),
+                    "{at}"
+                );
+                assert_eq!(wcp.resident_bytes(), wcp.walk_resident_bytes(), "{at}");
+            }
+            let drained = dc_epoch.logs.iter().flatten().any(|log| log.base > 0);
+            assert!(drained, "seed {seed}: compaction never drained a log");
+            let spilled = dc_vc.logs.iter().flatten().flat_map(|l| &l.rel);
+            assert!(spilled.into_iter().any(|r| !r.clock.is_inline()));
+        }
+    }
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)

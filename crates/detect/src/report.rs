@@ -71,10 +71,32 @@ impl fmt::Display for RaceReport {
 /// assert_eq!(report.dynamic_count(), 1);
 /// assert_eq!(report.static_count(), 1);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct Report {
     races: Vec<RaceReport>,
+    /// Running sum of the races' prior-thread list capacities, in bytes:
+    /// each list is complete when its race is pushed, so
+    /// [`footprint_bytes`](Report::footprint_bytes) is O(1).
+    prior_bytes: usize,
 }
+
+/// A cloned `Vec` has capacity equal to its length, so the copy recounts.
+impl Clone for Report {
+    fn clone(&self) -> Self {
+        let races = self.races.clone();
+        let prior_bytes = Report::walk_prior_bytes(&races);
+        Report { races, prior_bytes }
+    }
+}
+
+/// Reports are equal when their races are; capacities do not matter.
+impl PartialEq for Report {
+    fn eq(&self, other: &Self) -> bool {
+        self.races == other.races
+    }
+}
+
+impl Eq for Report {}
 
 impl Report {
     /// Creates an empty report.
@@ -86,6 +108,7 @@ impl Report {
     /// by thread id.
     pub fn push(&mut self, mut race: RaceReport) {
         race.prior_threads.sort_unstable();
+        self.prior_bytes += race.prior_threads.capacity() * std::mem::size_of::<ThreadId>();
         self.races.push(race);
     }
 
@@ -145,14 +168,19 @@ impl Report {
         self.races.is_empty()
     }
 
-    /// Approximate heap bytes held by the report (part of analysis state).
+    /// Approximate heap bytes held by the report (part of analysis state):
+    /// O(1), from the running prior-thread count.
     pub fn footprint_bytes(&self) -> usize {
-        self.races.capacity() * std::mem::size_of::<RaceReport>()
-            + self
-                .races
-                .iter()
-                .map(|r| r.prior_threads.capacity() * std::mem::size_of::<ThreadId>())
-                .sum::<usize>()
+        debug_assert_eq!(self.prior_bytes, Report::walk_prior_bytes(&self.races));
+        self.races.capacity() * std::mem::size_of::<RaceReport>() + self.prior_bytes
+    }
+
+    /// What the running prior-thread count holds, by walking `races`.
+    fn walk_prior_bytes(races: &[RaceReport]) -> usize {
+        races
+            .iter()
+            .map(|r| r.prior_threads.capacity() * std::mem::size_of::<ThreadId>())
+            .sum()
     }
 }
 
@@ -169,6 +197,9 @@ impl fmt::Display for Report {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn report_at(event: u32, loc: u32) -> RaceReport {
@@ -191,6 +222,34 @@ mod tests {
         assert_eq!(r.dynamic_count(), 3);
         assert_eq!(r.static_count(), 2);
         assert_eq!(r.first_race_event(), Some(EventId::new(1)));
+    }
+
+    /// Seeded races with prior-thread lists of assorted capacities, some
+    /// recorded empty: after every one the running count equals the walk,
+    /// across a mid-stream `clone()`, and the clone equals the original.
+    #[test]
+    fn running_prior_bytes_match_the_walk() {
+        for seed in 0..4 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut r = Report::new();
+            for i in 0..500u32 {
+                let mut prior = Vec::with_capacity(rng.gen_range(0..9));
+                for _ in 0..rng.gen_range(0..6) {
+                    prior.push(ThreadId::new(rng.gen_range(0..20)));
+                }
+                let (e, l) = (EventId::new(i), Loc::new(i % 7));
+                let (t, x) = (ThreadId::new(0), VarId::new(i % 3));
+                r.record(e, l, t, x, AccessKind::Read, prior);
+                if i == 250 {
+                    let copy = r.clone();
+                    assert_eq!(copy, r);
+                    r = copy;
+                }
+                let walk = r.races.capacity() * std::mem::size_of::<RaceReport>()
+                    + Report::walk_prior_bytes(&r.races);
+                assert_eq!(r.footprint_bytes(), walk, "seed {seed}, race {i}");
+            }
+        }
     }
 
     #[test]

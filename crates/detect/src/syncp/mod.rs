@@ -84,6 +84,8 @@
 
 pub(crate) mod strong;
 
+use std::mem::size_of;
+
 use smarttrack_clock::ThreadId;
 use smarttrack_trace::{Event, EventId, Op, Trace, VarId};
 
@@ -341,7 +343,6 @@ impl SyncPCore {
     }
 
     pub(crate) fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.meta.capacity() * size_of::<EventMeta>()
             + self.sections.capacity() * size_of::<Section>()
             + self.threads.capacity() * size_of::<ThreadState>()
@@ -359,7 +360,6 @@ impl SyncPCore {
     }
 
     pub(crate) fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.resident_bytes()
             + self
                 .prereqs
@@ -411,6 +411,12 @@ pub trait LockRule: Clone + std::fmt::Debug + Default {
 
     /// Does the conflicting pair at event indexes `a < b` race?
     fn races(closure: &mut Closure<Self>, core: &SyncPCore, a: u32, b: u32) -> bool;
+
+    /// Exact heap bytes of the rule's scratch, per-lock lists included.
+    fn footprint_bytes(&self) -> usize;
+
+    /// The rule's top-level table capacities only: O(1).
+    fn resident_bytes(&self) -> usize;
 }
 
 /// Per-barrier closure scratch for the conditional cross-round rule: a
@@ -608,6 +614,30 @@ impl<R: LockRule> Closure<R> {
         !ordered
     }
 
+    /// Exact heap bytes of the scratch: the frontier, the pull buffer, the
+    /// barrier rounds and the rule's per-lock state.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        self.table_bytes()
+            + self
+                .barriers
+                .iter()
+                .map(|b| b.touched.capacity() * size_of::<u32>())
+                .sum::<usize>()
+            + self.rule.footprint_bytes()
+    }
+
+    /// The scratch's top-level capacities only: O(1).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.table_bytes() + self.rule.resident_bytes()
+    }
+
+    fn table_bytes(&self) -> usize {
+        let fr = &self.frontier;
+        (fr.upto.capacity() + fr.processed.capacity() + fr.dirty.capacity() + self.need.capacity())
+            * size_of::<u32>()
+            + self.barriers.capacity() * size_of::<BarrierScratch>()
+    }
+
     /// The ideal of the last successful [`close`](Self::close), as event
     /// indexes in trace order.
     pub(crate) fn ideal(&self, core: &SyncPCore) -> Vec<u32> {
@@ -685,6 +715,19 @@ impl LockRule for ObservedOrder {
 
     fn races(closure: &mut Closure<Self>, core: &SyncPCore, a: u32, b: u32) -> bool {
         closure.close(core, a, b)
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.resident_bytes()
+            + self
+                .locks
+                .iter()
+                .map(|l| l.pending.capacity() * size_of::<u32>())
+                .sum::<usize>()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.locks.capacity() * size_of::<LockScratch>()
     }
 }
 
@@ -929,9 +972,9 @@ impl<R: LockRule> Detector for ClosureRow<R> {
     }
 
     fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.core.footprint_bytes()
             + self.strong.footprint_bytes()
+            + self.closure.footprint_bytes()
             + self.vars.capacity() * size_of::<VarState>()
             + self
                 .vars
@@ -954,7 +997,8 @@ impl<R: LockRule> Detector for ClosureRow<R> {
         // skips per-variable candidate walks.
         self.core.resident_bytes()
             + self.strong.resident_bytes()
-            + self.vars.capacity() * std::mem::size_of::<VarState>()
+            + self.closure.resident_bytes()
+            + self.vars.capacity() * size_of::<VarState>()
             + self.report.footprint_bytes()
     }
 

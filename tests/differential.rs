@@ -121,6 +121,26 @@ fn matrix_has_no_empty_cell() {
     assert!(unrun.is_empty(), "no slice runs:\n{}", unrun.join("\n"));
 }
 
+/// `failure` returns a check's panic message without printing it, and
+/// restores the catching depth on every exit, nested calls included.
+#[test]
+fn failure_catches_quietly_and_restores_its_depth() {
+    let depth = || harness::CATCHING.get();
+    assert_eq!(failure(|| panic!("boom")).as_deref(), Some("boom"));
+    assert_eq!(depth(), 0);
+    let outer = failure(|| {
+        assert_eq!(depth(), 1);
+        let inner = failure(|| panic!("inner {}", 2));
+        assert_eq!(inner.as_deref(), Some("inner 2"));
+        assert_eq!(depth(), 1, "the inner catch restores the outer depth");
+        panic!("outer");
+    });
+    assert_eq!(outer.as_deref(), Some("outer"));
+    assert_eq!(depth(), 0);
+    assert_eq!(failure(|| {}), None);
+    assert_eq!(depth(), 0);
+}
+
 /// Each slice names a test its file declares with `slices!`.
 #[test]
 fn every_slice_names_a_declared_test() {

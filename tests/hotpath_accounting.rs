@@ -324,6 +324,24 @@ fn state_estimate_never_exceeds_exact_walk() {
     }
 }
 
+/// OSR's footprint counts its closure: the reversal rule's per-lock section
+/// lists and its pull journal, which journals every same-lock pair of the
+/// ideal and keeps its peak capacity. SyncP's rule keeps far less, so on a
+/// lock-heavy xalan slice OSR's peak and final footprints are the larger.
+#[test]
+fn osr_footprint_counts_its_closure() {
+    let trace = smarttrack_workloads::profiles::xalan().trace(1e-5, 42);
+    let run = |name: &str| {
+        let mut det = name.parse::<AnalysisConfig>().unwrap().detector().unwrap();
+        let summary = run_detector(det.as_mut(), &trace);
+        assert!(det.state_bytes() <= det.footprint_bytes(), "{name}");
+        (summary.peak_footprint_bytes, summary.final_state_bytes)
+    };
+    let (syncp, osr) = (run("syncp"), run("osr"));
+    assert!(osr.0 > 2 * syncp.0, "peak: OSR {osr:?}, SyncP {syncp:?}");
+    assert!(osr.1 > 2 * syncp.1, "final: OSR {osr:?}, SyncP {syncp:?}");
+}
+
 /// Mutex-only traces pay for no reader aggregates. The HB and WCP rows
 /// keep per-lock reader-aggregate clocks (`LRm`; WCP keeps an HB and a
 /// WCP one) that only read-mode releases write. They used to be looked up

@@ -33,6 +33,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Once;
 
 use smarttrack::{
     analyze, osr_pair_witness, run_detector, syncp_pair_ideal, AnalysisConfig, BatchJob, Detector,
@@ -1041,9 +1042,29 @@ macro_rules! slices {
 }
 pub(crate) use slices;
 
-/// The panic message of `check`, if it panics.
+thread_local! {
+    /// How many `failure` calls are catching on this thread. While it is
+    /// non-zero the panic hook stays quiet: the catching caller reports the
+    /// message, once, with its cell.
+    pub static CATCHING: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The panic message of `check`, if it panics. The panic does not print:
+/// the caller names it in its own failure.
 pub fn failure(check: impl FnOnce()) -> Option<String> {
-    let payload = panic::catch_unwind(AssertUnwindSafe(check)).err()?;
+    static QUIET_HOOK: Once = Once::new();
+    QUIET_HOOK.call_once(|| {
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if CATCHING.get() == 0 {
+                previous(info);
+            }
+        }));
+    });
+    let depth = CATCHING.replace(CATCHING.get() + 1);
+    let result = panic::catch_unwind(AssertUnwindSafe(check));
+    CATCHING.set(depth);
+    let payload = result.err()?;
     let message = payload.downcast_ref::<String>().cloned();
     Some(
         message
